@@ -57,11 +57,20 @@ def _write_pgm(path: str, rows: list[list[int]]) -> None:
 
 
 def _parse_box(text: str) -> Box:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValidationError("box must be x0,y0,x1,y1")
-    x0, y0, x1, y1 = (int(p) for p in parts)
-    return Box(Point((x0, y0)), Point((x1, y1)))
+    """Parse "lo_1,...,lo_k,hi_1,...,hi_k" into a k-dimensional box."""
+    try:
+        coords = tuple(int(c) for c in text.split(","))
+    except ValueError as exc:
+        raise ValidationError(f"cannot parse box {text!r}") from exc
+    if len(coords) % 2:
+        raise ValidationError(f"box needs 2k coordinates (lo, then hi), got {len(coords)}")
+    k = len(coords) // 2
+    return Box(Point(coords[:k]), Point(coords[k:]))
+
+
+def _require_2d(value: Box | Point, what: str) -> None:
+    if value.dim != 2:
+        raise ValidationError(f"{what} needs 2D input, got {value.dim}D")
 
 
 def _load_generators(path: str) -> GeneratorSet:
@@ -170,6 +179,8 @@ def _cmd_fs(args, cfg: RunConfig) -> int:
         return EXIT_OK
     X = _load_generators(args.generators)
     box = _parse_box(args.box)
+    if args.heatmap:
+        _require_2d(box, "--heatmap")
     reach = fs_enumerate(X, box, cell_cap=cfg.cell_cap)
     points = sorted(reach.points)
     payload = {
@@ -239,6 +250,7 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
 def _cmd_dyadic(args, cfg: RunConfig) -> int:
     if args.command == "check":
         p = parse_point(args.point)
+        _require_2d(p, "dyadic check")
         a, b = p.coords
         in_e = dyadic.in_exceptional(a, b)
         rep = None
@@ -255,10 +267,11 @@ def _cmd_dyadic(args, cfg: RunConfig) -> int:
         return EXIT_OK
     if args.command == "map":
         box = _parse_box(args.box)
+        _require_2d(box, "dyadic map")
         reach = fs_enumerate(
             dyadic.dyadic_generators(box.hi), box, cell_cap=cfg.cell_cap
         )
-        rows = dyadic.exceptional_map(box.lo, box.hi, set(reach.points))
+        rows = dyadic.exceptional_map(box.lo, box.hi, reach.points)
         _write_pgm(args.out, rows)
         sys.stdout.write(
             json.dumps({"heatmap": args.out, "reachable": len(reach.points)}, sort_keys=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Container, Sequence
 
 from .bitint import BitInt, IntLike, as_bitint, bit_sum, power_le
 from .core import DomainError, GeneratorSet, Point, Representation, ValidationError
@@ -21,6 +21,11 @@ from .core import DomainError, GeneratorSet, Point, Representation, ValidationEr
 
 def in_exceptional(a: IntLike, b: IntLike) -> bool:
     """Exact membership in E: 2^b <= a or 2^a <= b (no floating-point logs)."""
+    if isinstance(a, int) and isinstance(b, int):
+        if a < 1 or b < 1:
+            raise ValidationError("coordinates must be >= 1")
+        # 2^b <= a exactly when b <= a.bit_length() - 1
+        return b < a.bit_length() or a < b.bit_length()
     a, b = as_bitint(a), as_bitint(b)
     if a.is_zero or b.is_zero:
         raise ValidationError("coordinates must be >= 1")
@@ -234,7 +239,7 @@ LEVEL_E_REACHABLE = 128
 LEVEL_OUTSIDE_E = 255
 
 
-def exceptional_map(box_lo: Point, box_hi: Point, reachable: set[Point]) -> list[list[int]]:
+def exceptional_map(box_lo: Point, box_hi: Point, reachable: Container[Point]) -> list[list[int]]:
     """Grayscale rows (top row = max y) classifying each box point."""
     lx, ly = box_lo.coords
     hx, hy = box_hi.coords

@@ -7,8 +7,11 @@ only does exhaustive subset search and include-or-not dynamic programming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+import operator
+from collections.abc import Set
+from functools import reduce
+from itertools import accumulate
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     Box,
@@ -18,7 +21,6 @@ from .core import (
     ResourceLimitError,
     TranslatedOrthant,
     ValidationError,
-    point_sum,
 )
 
 DEFAULT_CELL_CAP = 2**26
@@ -69,45 +71,93 @@ def fs_membership(X: GeneratorSet, target: Point) -> Optional[Representation]:
     return Representation(tuple(members), target)
 
 
-@dataclass
-class ReachableSet:
-    """FS(X) intersected with a box, with a reconstructable witness per point."""
+class ReachableSet(Set):
+    """FS(X) in a box, a read-only set of Points: bit i of one int is the cell of
+    [0, box.hi] with mixed-radix index i (axis 0 fastest).  Points are built only
+    while iterating; the stages witnesses need are rebuilt on the first call.
+    """
 
-    box: Box
-    generators: GeneratorSet
-    points: frozenset[Point]
-    # stage i = reachable set after the first i generators; used for witnesses
-    _stages_2d: Optional[list[dict[int, int]]] = field(default=None, repr=False)
-    _stages_nd: Optional[list[frozenset[tuple[int, ...]]]] = field(default=None, repr=False)
+    def __init__(self, box: Box, generators: GeneratorSet):
+        self.box = box
+        self.generators = generators
+        # place values of the axes; the last one is the number of cells
+        self._strides = list(accumulate((h + 1 for h in box.hi.coords), operator.mul, initial=1))
+        cells = self._strides[-1]
+        # per axis, one bit at the start of every block of the axes up to it
+        self._repeats = [((1 << cells) - 1) // ((1 << s) - 1) for s in self._strides[1:]]
+        self._offsets = [self._index(g) for g in generators]
+        reach = reduce(self._include, generators, 1)  # bit 0, the origin, is the empty sum
+        self._bits = reach & self._box_mask(box.lo.coords, box.hi.coords)
+        self._stages: Optional[list[bytes]] = None  # stage k: reachable after k generators
 
-    def __contains__(self, p: Point) -> bool:
-        return p in self.points
+    @property
+    def points(self) -> "ReachableSet":
+        return self
 
-    def _reachable_at_stage(self, i: int, p: Point) -> bool:
-        if self._stages_2d is not None:
-            x, y = p.coords
-            row = self._stages_2d[i].get(y, 0)
-            return bool((row >> x) & 1)
-        assert self._stages_nd is not None
-        return p.coords in self._stages_nd[i]
+    _from_iterable = staticmethod(frozenset)  # so `&`, `|`, `-` and `^` give frozensets
+
+    def __len__(self) -> int:
+        return self._bits.bit_count()
+
+    def __contains__(self, p: object) -> bool:
+        fits = isinstance(p, Point) and p.dim == self.box.dim and self.box.contains(p)
+        return fits and bool(self._bits >> self._index(p) & 1)
+
+    def __iter__(self) -> Iterator[Point]:
+        # walk the bytes: clearing one bit at a time would copy the int per point;
+        # decode each byte's first cell once and step along axis 0 from there
+        width = self._strides[1]
+        for base, byte in enumerate(self._bits.to_bytes(self._strides[-1] // 8 + 1, "little")):
+            if byte:
+                first = self._coords(8 * base)
+                x0, rest = first[0], first[1:]
+                for bit in _BYTE_BITS[byte]:
+                    x = x0 + bit
+                    yield Point((x,) + rest if x < width else self._coords(8 * base + bit))
+
+    def _index(self, p: Point) -> int:
+        return sum(c * s for c, s in zip(p.coords, self._strides))
+
+    def _coords(self, i: int) -> tuple[int, ...]:
+        return tuple(i // s % (h + 1) for s, h in zip(self._strides, self.box.hi.coords))
+
+    def _box_mask(self, lo: Sequence[int], hi: Sequence[int]) -> int:
+        """Bits of the cells q with lo <= q <= hi, by block repetition along each axis."""
+        mask = -1
+        for s, repeat, l, h in zip(self._strides, self._repeats, lo, hi):
+            # cells with l <= q[axis] <= h: a run of ones, once in every block of this axis
+            mask &= (repeat << ((h + 1) * s)) - (repeat << (l * s))
+        return mask
+
+    def _include(self, reach: int, g: Point) -> int:
+        """One shift-or DP step: every reached cell q with q + g <= hi also reaches q + g."""
+        hi = self.box.hi.coords
+        fit = self._box_mask([0] * len(hi), [h - c for h, c in zip(hi, g.coords)])
+        return reach | (reach & fit) << self._index(g)
 
     def witness(self, p: Point) -> Representation:
         """One representation of a reachable point, rebuilt from the DP stages."""
-        if p not in self.points:
+        if p not in self:
             raise ValidationError(f"{p} is not reachable inside the box")
+        if self._stages is None:
+            size = self._strides[-1] // 8 + 1
+            stages = accumulate(self.generators, self._include, initial=1)
+            self._stages = [reach.to_bytes(size, "little") for reach in stages]
         members: list[Point] = []
-        rem = p
-        for i in range(len(self.generators), 0, -1):
-            if self._reachable_at_stage(i - 1, rem):
-                continue
-            g = self.generators.elements[i - 1]
-            members.append(g)
-            rem = rem - g
-        assert rem.is_zero
+        i = self._index(p)
+        for k in range(len(self.generators) - 1, -1, -1):
+            if not self._stages[k][i >> 3] >> (i & 7) & 1:
+                members.append(self.generators.elements[k])
+                i -= self._offsets[k]
+        assert i == 0
         return Representation(tuple(sorted(members)), p)
 
     def witness_map(self) -> dict[Point, Representation]:
-        return {p: self.witness(p) for p in sorted(self.points)}
+        return {p: self.witness(p) for p in sorted(self)}
+
+
+# the set bit positions of each byte value, for iterating a bitset bytewise
+_BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
 
 
 def fs_enumerate(X: GeneratorSet, box: Box, cell_cap: int = DEFAULT_CELL_CAP) -> ReachableSet:
@@ -117,67 +167,15 @@ def fs_enumerate(X: GeneratorSet, box: Box, cell_cap: int = DEFAULT_CELL_CAP) ->
     monotone, so nothing outside that domain can contribute), one generator at
     a time: include it or not.
     """
-    hi = box.hi
-    cells = 1
-    for c in hi.coords:
-        cells *= c + 1
+    cells = reduce(operator.mul, (c + 1 for c in box.hi.coords), 1)
     if cells > cell_cap:
         raise ResourceLimitError(
             f"enumeration domain has {cells} cells, above the cap of {cell_cap}"
         )
-    gens = X.pruned_to(hi) if len(X) else GeneratorSet(())
+    gens = X.pruned_to(box.hi) if len(X) else GeneratorSet(())
     if len(gens) and gens.dim != box.dim:
         raise ValidationError("generator/box dimension mismatch")
-
-    if box.dim == 2:
-        return _enumerate_2d(gens, box)
-    return _enumerate_nd(gens, box)
-
-
-def _enumerate_2d(gens: GeneratorSet, box: Box) -> ReachableSet:
-    # one x-bitmask per y row; shifting a row by a generator is one big-int op
-    hi_x, hi_y = box.hi.coords
-    full = (1 << (hi_x + 1)) - 1
-    rows: dict[int, int] = {0: 1}
-    stages = [dict(rows)]
-    for g in gens:
-        gx, gy = g.coords
-        new = dict(rows)
-        for y, mask in rows.items():
-            if y + gy > hi_y:
-                continue
-            shifted = (mask << gx) & full
-            if shifted:
-                new[y + gy] = new.get(y + gy, 0) | shifted
-        rows = new
-        stages.append(dict(rows))
-    lo_x, lo_y = box.lo.coords
-    points = set()
-    for y in range(lo_y, hi_y + 1):
-        mask = rows.get(y, 0) >> lo_x
-        x = lo_x
-        while mask:
-            if mask & 1:
-                points.add(Point((x, y)))
-            mask >>= 1
-            x += 1
-    return ReachableSet(box=box, generators=gens, points=frozenset(points), _stages_2d=stages)
-
-
-def _enumerate_nd(gens: GeneratorSet, box: Box) -> ReachableSet:
-    hi = box.hi
-    current: set[tuple[int, ...]] = {Point.zero(box.dim).coords}
-    stages = [frozenset(current)]
-    for g in gens:
-        added = set()
-        for t in current:
-            s = tuple(a + b for a, b in zip(t, g.coords))
-            if all(c <= h for c, h in zip(s, hi.coords)):
-                added.add(s)
-        current |= added
-        stages.append(frozenset(current))
-    points = frozenset(Point(t) for t in current if box.contains(Point(t)))
-    return ReachableSet(box=box, generators=gens, points=points, _stages_nd=stages)
+    return ReachableSet(box, gens)
 
 
 def trm_table(values: Sequence[int], x_max: int) -> list[int]:

@@ -48,6 +48,20 @@ class TestFs:
         assert header[0] == "P2"
         assert header[1] == "8 6"
 
+    def test_enumerate_in_three_dimensions(self, capsys, tmp_path):
+        gens = write_json(tmp_path / "g3.json", [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+        code, out, _ = run(
+            capsys, ["fs", "enumerate", "--generators", gens, "--box", "0,0,0,2,2,2"]
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["box"] == {"lo": [0, 0, 0], "hi": [2, 2, 2]}
+        # 16 subsets; (1,1,1) is both a generator and the sum of the three units
+        assert payload["count"] == len(payload["points"]) == 15
+        assert [2, 2, 2] in payload["points"]
+        assert payload["witnesses"]["(1,1,1)"] == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+        assert payload["witnesses"]["(2,2,2)"] == [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]]
+
 
 class TestCone:
     def test_build_decompose_verify(self, capsys, tmp_path):
@@ -160,6 +174,31 @@ class TestExitCodes:
     def test_bad_point(self, capsys, gens_file):
         code, _, _ = run(capsys, ["fs", "check", "--generators", gens_file, "--target", "1,x"])
         assert code == 1
+
+    @pytest.mark.parametrize("box", ["0,0,0,2,2", "1", "0,0,x,3"])
+    def test_bad_box(self, capsys, gens_file, box):
+        code, _, err = run(capsys, ["fs", "enumerate", "--generators", gens_file, "--box", box])
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fs", "enumerate", "--box", "0,0,0,2,2,2", "--heatmap", "h.pgm"],
+            ["dyadic", "map", "--box", "1,1,1,8,8,8", "--out", "m.pgm"],
+            ["dyadic", "map", "--box", "1,8", "--out", "m.pgm"],
+            ["dyadic", "check", "--point", "1,2,3"],
+        ],
+    )
+    def test_two_dimensional_only(self, capsys, tmp_path, gens_file, argv):
+        argv = [str(tmp_path / a) if a.endswith(".pgm") else a for a in argv]
+        if argv[0] == "fs":
+            argv[2:2] = ["--generators", gens_file]
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "needs 2D input" in err and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.pgm"))
 
     def test_resource_cap_env(self, capsys, monkeypatch, gens_file):
         monkeypatch.setenv("FSLATTICE_CAP", "50")

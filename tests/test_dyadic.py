@@ -38,6 +38,19 @@ class TestInExceptional:
     def test_matches_direct_comparison(self, a, b):
         assert dyadic.in_exceptional(a, b) == (2**b <= a or 2**a <= b)
 
+    @given(
+        st.integers(min_value=1, max_value=2**70),
+        st.integers(min_value=1, max_value=2**70),
+    )
+    def test_int_path_matches_positional_path(self, a, b):
+        assert dyadic.in_exceptional(a, b) == dyadic.in_exceptional(
+            BitInt.from_int(a), BitInt.from_int(b)
+        )
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValidationError):
+            dyadic.in_exceptional(5, -1)
+
 
 def test_shortest_power_sum_is_the_dyadic_expansion():
     # unbounded coin DP over powers of two, compared with popcount

@@ -1,9 +1,10 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fslattice import cone
+from fslattice import cone, dyadic
 from fslattice.core import (
     Box,
     GeneratorSet,
@@ -151,6 +152,113 @@ class TestFsEnumerate:
             GeneratorSet.of([Point(t) for t in coords] + [Point(extra)]), box
         )
         assert small.points <= big.points
+
+
+def _coords(dim: int, bound: int):
+    return st.tuples(*[st.integers(min_value=0, max_value=bound)] * dim)
+
+
+@st.composite
+def sets_and_boxes(draw):
+    """Generator sets in 1 to 4 dimensions with a box of at most 81 cells."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    bound = {1: 12, 2: 6, 3: 3, 4: 2}[dim]
+    coords = draw(st.lists(_coords(dim, bound).filter(any), max_size=7, unique=True))
+    hi = draw(_coords(dim, bound))
+    lo = tuple(draw(st.integers(min_value=0, max_value=h)) for h in hi)
+    return GeneratorSet.of(Point(t) for t in coords), Box(Point(lo), Point(hi))
+
+
+class TestReachableSet:
+    @settings(deadline=None, max_examples=60)
+    @given(sets_and_boxes())
+    def test_agrees_with_membership_search(self, case):
+        X, box = case
+        reach = fs_enumerate(X, box)
+        # one step past the box on every axis, so outside cells are asked too
+        beyond = Box(Point.zero(box.dim), Point(tuple(h + 1 for h in box.hi.coords)))
+        for p in beyond.points_lex():
+            expected = box.contains(p) and fs_membership(X, p) is not None
+            assert (p in reach) == expected
+        assert len(reach) == sum(1 for _ in reach)
+        for p in reach:
+            rep = reach.witness(p)
+            assert rep.target == p
+            assert validate_representation(rep)
+            assert all(m in X for m in rep.members)
+
+    def test_points_behave_as_a_read_only_set(self):
+        X = GeneratorSet.of([Point((1, 0)), Point((0, 1)), Point((2, 2))])
+        reach = fs_enumerate(X, Box(Point((1, 0)), Point((3, 3))))
+        expected = frozenset(Point(t) for t in [(1, 0), (1, 1), (2, 2), (3, 2), (2, 3), (3, 3)])
+        assert reach.points is reach
+        assert reach.points == expected and expected == reach.points
+        assert len(reach.points) == 6
+        assert sorted(reach.points) == sorted(expected)
+        assert set(reach.points) == set(expected)
+        assert reach.points <= expected and not reach.points < expected
+        assert reach.points & {Point((1, 0)), Point((0, 1))} == frozenset({Point((1, 0))})
+        assert Point((0, 1)) not in reach  # reachable, but left of the box
+        assert Point((4, 4)) not in reach  # beyond the box
+        assert Point((1, 0, 0)) not in reach  # wrong dimension
+        assert (1, 0) not in reach and "x" not in reach  # not a Point
+        with pytest.raises(ValidationError):
+            reach.witness(Point((0, 1)))
+
+    def test_empty_box_is_falsy(self):
+        X = GeneratorSet.of([Point((2, 2)), Point((4, 4))])
+        reach = fs_enumerate(X, Box(Point((1, 1)), Point((1, 3))))
+        assert not reach.points
+        assert len(reach) == 0 and list(reach) == []
+
+    @pytest.mark.parametrize(
+        "generators, hi, pinned",
+        [
+            (
+                [(1, 2), (2, 1), (3, 3), (1, 1), (2, 2)],
+                (6, 6),
+                {
+                    (3, 3): [(1, 2), (2, 1)],
+                    (4, 4): [(1, 1), (1, 2), (2, 1)],
+                    (5, 5): [(1, 2), (2, 1), (2, 2)],
+                    (6, 6): [(1, 1), (1, 2), (2, 1), (2, 2)],
+                    (3, 4): [(1, 2), (2, 2)],
+                    (5, 4): [(1, 1), (2, 1), (2, 2)],
+                },
+            ),
+            (
+                [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (2, 1, 1)],
+                (4, 4, 4),
+                {
+                    (2, 2, 2): [(0, 1, 1), (1, 0, 1), (1, 1, 0)],
+                    (3, 3, 3): [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)],
+                    (4, 3, 3): [(0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 1, 1)],
+                    (3, 2, 2): [(1, 0, 1), (1, 1, 0), (1, 1, 1)],
+                    (2, 1, 1): [(1, 0, 1), (1, 1, 0)],
+                },
+            ),
+        ],
+    )
+    def test_pinned_witnesses(self, generators, hi, pinned):
+        X = GeneratorSet.of(Point(t) for t in generators)
+        reach = fs_enumerate(X, Box(Point.zero(len(hi)), Point(hi)))
+        for target, members in pinned.items():
+            assert [m.coords for m in reach.witness(Point(target)).members] == members
+
+    def test_membership_only_memory_is_bounded(self):
+        # 4.2M cells, far below the cell cap: membership only must keep no per-generator copies
+        hi = Point((2047, 2047))
+        gens = dyadic.dyadic_generators(hi)
+        tracemalloc.start()
+        try:
+            reach = fs_enumerate(gens, Box(Point((1, 1)), hi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        # 2047 needs all eleven powers 1..1024, so the height is at least 11
+        assert Point((2047, 11)) in reach
+        assert Point((2047, 10)) not in reach
 
 
 class TestTrm:
