@@ -15,12 +15,12 @@ from . import cone, dyadic, gaps
 from .config import RunConfig
 from .core import (
     Box,
-    DomainError,
     GeneratorSet,
     Point,
     ResourceLimitError,
     ValidationError,
     parse_point,
+    validate_representation,
 )
 from .oracle import fs_enumerate, fs_membership
 from .selftest import CRITERIA, selftest_payload
@@ -230,8 +230,6 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
             continue
         checked += 1
         X, rep = cone.decompose_auto(spec, X, coords)
-        from .core import validate_representation
-
         if not validate_representation(rep):
             failing = coords
             break
@@ -365,7 +363,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource error: {exc}\n")
         return EXIT_RESOURCE
-    except (ValidationError, DomainError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, FileNotFoundError) as exc:  # ValidationError, DomainError, JSON errors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
 

@@ -4,8 +4,9 @@ Given linearly independent v_1..v_k (none parallel to an axis), the generator
 set S u X_1 u ... u X_k -- the integer points of the simplex on k*v_1..k*v_k
 plus the dyadic multiples of each v_i -- covers every integer point of the
 cone by sums of distinct elements, while growing only logarithmically.  The
-decomposition peels one v_l at a time using the simplex-covering indices and
-then merges the peeled copies by binary carries.
+decomposition is closed form: flooring the barycentric coefficients leaves a
+residual in the seed, and the binary digits of the floors pick distinct ray
+elements.  `peel` and the cover indices keep the paper's covering lemmas.
 
 All membership predicates are exact: barycentric coordinates are kept as
 integer numerators over the (positive) determinant, never floats.
@@ -218,12 +219,13 @@ def build_thin_generators(spec: ConeSpec, depth: int) -> ThinGeneratorSet:
 
 
 def default_depth(spec: ConeSpec, target: Point) -> int:
-    """Enough ray powers for the target, plus a spare slot for the final carry."""
+    """Enough ray powers for the target, plus two spare slots."""
     min_coord = min(c for v in spec.v for c in v.coords if c != 0)
     max_target = max(target.coords)
     if max_target == 0:
         return 2
-    return math.ceil(math.log2(max(max_target / min_coord, 1))) + 2
+    # ceil(log2(max_target / min_coord)), clamped at 0, in exact integers
+    return ((max_target - 1) // min_coord).bit_length() + 2
 
 
 def peel(spec: ConeSpec, v: Point, layer: Optional[int] = None) -> tuple[int, Point]:
@@ -255,64 +257,46 @@ def peel(spec: ConeSpec, v: Point, layer: Optional[int] = None) -> tuple[int, Po
 def decompose(spec: ConeSpec, X: ThinGeneratorSet, v: Point) -> Representation:
     """Express a nonzero cone point as a sum of distinct elements of X.
 
-    Peels generators until the residual sits in the base simplex, then merges
-    the peel counts into dyadic ray elements via binary expansion (the closed
-    form of repeatedly replacing v_l + 2v_l + ... + 2^m v_l by 2^(m+1) v_l).
+    With v = sum a_l v_l, take c_l = floor(a_l).  The residual v - sum c_l v_l
+    has every coefficient in [0, 1), so it lies in the seed and is no ray
+    element (each has one coefficient 2^j >= 1); the binary digits of c_l pick
+    distinct ray elements 2^j v_l.  Cost O(k^2 + k log n).  A point already in
+    the seed is its own representation.
     """
-    k = spec.k
     nums, den = spec.coeff_numerators(v)
     if any(x < 0 for x in nums):
         raise DomainError(f"{v} is not in the cone")
     if v.is_zero:
         raise DomainError("cannot decompose the origin")
+    if v in X.seed:
+        return Representation((v,), v)
 
-    counts = [0] * k
-    residual = v
-    while True:
-        r_nums, r_den = spec.coeff_numerators(residual)
-        if sum(r_nums) <= k * r_den:
-            break
-        l, residual = peel(spec, residual)
-        counts[l] += 1
-
-    members: list[Point] = []
-    r_nums, r_den = spec.coeff_numerators(residual)
-    if not residual.is_zero:
-        nonzero = [l for l in range(k) if r_nums[l] != 0]
-        if len(nonzero) == 1 and r_nums[nonzero[0]] % r_den == 0:
-            # residual is an exact multiple of one generator: fold it into the
-            # ray count so the binary carry keeps all elements distinct
-            counts[nonzero[0]] += r_nums[nonzero[0]] // r_den
-        else:
-            members.append(residual)
-
-    for l in range(k):
-        c = counts[l]
-        j = 0
-        while c:
-            if c & 1:
-                p = spec.v[l].scale(1 << j)
-                if p not in X:
-                    raise DepthError(
-                        f"ray depth {X.depth} too small; need depth {j} for {p}",
-                        required_depth=j,
-                    )
-                members.append(p)
-            c >>= 1
-            j += 1
-
+    counts = [x // den for x in nums]
+    required = max(counts).bit_length() - 1
+    if required > X.depth:
+        raise DepthError(
+            f"ray depth {X.depth} too small; need depth {required} for {v}",
+            required_depth=required,
+        )
+    residual = Point(tuple(
+        x - sum(c * g.coords[i] for c, g in zip(counts, spec.v))
+        for i, x in enumerate(v.coords)
+    ))
+    members = [] if residual.is_zero else [residual]
+    for ray, c in zip(X.rays, counts):
+        members.extend(ray[j] for j in range(c.bit_length()) if c >> j & 1)
     return Representation(tuple(sorted(members)), v)
 
 
 def decompose_auto(
     spec: ConeSpec, X: ThinGeneratorSet, v: Point
 ) -> tuple[ThinGeneratorSet, Representation]:
-    """decompose, rebuilding X with a deeper ray truncation if carries run out."""
-    while True:
-        try:
-            return X, decompose(spec, X, v)
-        except DepthError as exc:
-            X = build_thin_generators(spec, max(exc.required_depth, X.depth + 1))
+    """decompose, rebuilding X once with the exact ray depth if X is too shallow."""
+    try:
+        return X, decompose(spec, X, v)
+    except DepthError as exc:
+        X = build_thin_generators(spec, exc.required_depth)
+        return X, decompose(spec, X, v)
 
 
 @dataclass(frozen=True)

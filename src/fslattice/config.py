@@ -21,6 +21,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValidationError(f"config {f.name} must be an integer, got {value!r}")
         if self.cell_cap < 1 or self.ray_depth < 0:
             raise ValidationError("caps must be positive")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class ValidationError(ValueError):
@@ -120,12 +120,9 @@ class GeneratorSet:
     elements: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        if not self.elements:
-            return
-        dim = self.elements[0].dim
-        seen = set()
+        seen: set[Point] = set()
         for p in self.elements:
-            if p.dim != dim:
+            if p.dim != self.elements[0].dim:
                 raise ValidationError("generator set mixes dimensions")
             if p.is_zero:
                 raise ValidationError("generator set may not contain the zero vector")
@@ -134,6 +131,8 @@ class GeneratorSet:
             seen.add(p)
         if list(self.elements) != sorted(self.elements):
             raise ValidationError("generators must be in canonical (lexicographic) order")
+        # membership set, built once; not a field, so eq and hash ignore it
+        object.__setattr__(self, "_members", frozenset(seen))
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "GeneratorSet":
@@ -152,7 +151,7 @@ class GeneratorSet:
         return iter(self.elements)
 
     def __contains__(self, p: Point) -> bool:
-        return p in set(self.elements)
+        return p in self._members  # type: ignore[attr-defined]
 
     def pruned_to(self, bound: Point) -> "GeneratorSet":
         """Drop generators that cannot participate in any sum <= bound."""
@@ -252,9 +251,6 @@ class TranslatedOrthant:
     def contains(self, p: Point) -> bool:
         self.z._check_dim(p)
         return all(c > zc for c, zc in zip(p.coords, self.z.coords))
-
-
-Region = Union[Box, TranslatedOrthant]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fslattice.cli import main
+from fslattice.core import Point, Representation, validate_representation
 
 
 def run(capsys, argv):
@@ -81,6 +82,22 @@ class TestCone:
         code, out, _ = run(capsys, ["cone", "verify", "--spec", str(spec_file), "--max", "15"])
         assert code == 0
         assert json.loads(out)["passed"]
+
+    def test_decompose_huge_point(self, capsys, tmp_path):
+        spec_file = tmp_path / "cone.json"
+        code, out, _ = run(capsys, ["cone", "build", "--v", "1,2;2,1", "--depth", "5"])
+        assert code == 0
+        spec_file.write_text(out)
+        n = 10**400
+        code, out, err = run(
+            capsys, ["cone", "decompose", "--spec", str(spec_file), "--point", f"{n},{n}"]
+        )
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["depth"] == (n // 3).bit_length() - 1
+        rep = Representation.from_json(payload["representation"])
+        assert rep.target == Point((n, n))
+        assert validate_representation(rep)
 
 
 class TestDyadic:
@@ -199,6 +216,31 @@ class TestExitCodes:
         assert out == ""
         assert "needs 2D input" in err and err.count("\n") == 1
         assert not list(tmp_path.glob("*.pgm"))
+
+    @pytest.mark.parametrize(
+        "argv, env, config",
+        [
+            (["selftest", "--criteria", "13"], None, None),
+            (["selftest", "--criteria", "1,x"], None, None),
+            (["gap", "build", "--A", "a.json", "--B", "b.json", "--L", "3,x"], None, None),
+            (["gap", "five-squares", "--lo", "30", "--hi", "30"], "abc", None),
+            (["gap", "five-squares", "--lo", "30", "--hi", "30"], None, {"cell_cap": "5"}),
+        ],
+        ids=["unknown-criterion", "bad-criteria", "bad-lengths", "bad-env-cap", "string-config"],
+    )
+    def test_bad_input_is_one_line(self, capsys, monkeypatch, tmp_path, argv, env, config):
+        write_json(tmp_path / "a.json", list(range(1, 13)))
+        write_json(tmp_path / "b.json", [1, 2])
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        if env is not None:
+            monkeypatch.setenv("FSLATTICE_CAP", env)
+        if config is not None:
+            argv = ["--config", write_json(tmp_path / "cfg.json", config)] + argv
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_resource_cap_env(self, capsys, monkeypatch, gens_file):
         monkeypatch.setenv("FSLATTICE_CAP", "50")

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fslattice import cone
 from fslattice.core import (
@@ -186,6 +187,17 @@ class TestDecompose:
         assert X.depth > 0
         assert validate_representation(rep)
 
+    @pytest.mark.parametrize("coords", [(9, 18), (1000, 777), (2**40 + 5, 2**40), (10**20, 10**20)])
+    def test_required_depth_is_exact(self, coords):
+        target = Point(coords)
+        required = max(int(a) for a in cone.barycentric(SPEC, target).a).bit_length() - 1
+        with pytest.raises(DepthError) as exc:
+            cone.decompose(SPEC, self._set(depth=required - 1), target)
+        assert exc.value.required_depth == required
+        assert validate_representation(cone.decompose(SPEC, self._set(depth=required), target))
+        X, _ = cone.decompose_auto(SPEC, self._set(depth=0), target)
+        assert X.depth == required
+
     def test_completeness_small_window(self):
         X = cone.build_thin_generators(SPEC, cone.default_depth(SPEC, Point((30, 30))))
         for x in range(31):
@@ -196,6 +208,38 @@ class TestDecompose:
                 rep = cone.decompose(SPEC, X, p)
                 assert validate_representation(rep)
                 assert all(m in X for m in rep.members)
+
+
+@st.composite
+def cones_and_points(draw):
+    """A small independent, non-axis-parallel 2D or 3D cone and a cone point up to 10^30."""
+    k = draw(st.sampled_from([2, 3]))
+    coords = st.lists(st.integers(0, 3), min_size=k, max_size=k)
+    vs = draw(st.lists(coords.filter(lambda c: sum(x != 0 for x in c) >= 2), min_size=k, max_size=k))
+    try:
+        spec = cone.ConeSpec(tuple(Point(tuple(v)) for v in vs))
+    except ValidationError:
+        assume(False)
+    mult = draw(st.lists(st.integers(0, 10**29), min_size=k, max_size=k))
+    shift = draw(st.lists(st.integers(0, 3 * k), min_size=k, max_size=k))
+    p = Point(tuple(
+        s + sum(m * v.coords[i] for m, v in zip(mult, spec.v)) for i, s in enumerate(shift)
+    ))
+    assume(not p.is_zero and spec.in_cone(p))
+    return spec, p
+
+
+@settings(deadline=None, max_examples=60)
+@given(cones_and_points())
+def test_closed_form_at_scale(case):
+    spec, p = case
+    X = cone.build_thin_generators(spec, cone.default_depth(spec, p))
+    rep = cone.decompose(spec, X, p)
+    assert validate_representation(rep)
+    assert all(m in X for m in rep.members)
+    off_ray = [m for m in rep.members if not any(m in ray for ray in X.rays)]
+    assert len(off_ray) <= 1
+    assert all(m in X.seed for m in off_ray)
 
 
 class TestThinness:
