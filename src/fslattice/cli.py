@@ -19,11 +19,12 @@ from .core import (
     Point,
     ResourceLimitError,
     ValidationError,
+    int_array,
     parse_point,
     validate_representation,
 )
 from .oracle import fs_enumerate, fs_membership
-from .selftest import CRITERIA, selftest_payload
+from .selftest import payload_of, run_criteria
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -78,7 +79,7 @@ def _load_generators(path: str) -> GeneratorSet:
 
 
 def _load_ints(path: str) -> list[int]:
-    return [int(v) for v in json.loads(Path(path).read_text())]
+    return int_array(json.loads(Path(path).read_text()), path)
 
 
 def _parse_cone_vectors(text: str) -> cone.ConeSpec:
@@ -333,11 +334,12 @@ def _cmd_selftest(args, cfg: RunConfig) -> int:
     if args.criteria:
         ids = [int(v) for v in args.criteria.split(",")]
     seed = args.seed if args.seed is not None else cfg.seed
-    payload = selftest_payload(seed=seed, cell_cap=cfg.cell_cap, ids=ids)
-    names = {cid: name for cid, name, _ in CRITERIA}
-    for result in payload["criteria"]:
-        mark = "PASS" if result["passed"] else "FAIL"
-        sys.stderr.write(f"[{mark}] {result['id']:2d} {names[result['id']]}\n")
+    results = run_criteria(seed, cfg.cell_cap, ids)
+    payload = payload_of(seed, results)
+    for r in results:
+        mark = "PASS" if r.passed else "FAIL"
+        limit = "" if r.time_limit_s is None else f" (limit {r.time_limit_s:g} s)"
+        sys.stderr.write(f"[{mark}] {r.id:2d} {r.name:36s} {r.elapsed:7.2f} s{limit}\n")
     _emit(payload, args.out)
     return EXIT_OK if payload["all_passed"] else EXIT_DOMAIN
 

@@ -171,16 +171,16 @@ class ThinGeneratorSet:
     seed: GeneratorSet
     rays: tuple[tuple[Point, ...], ...]
 
+    def __post_init__(self) -> None:
+        # membership set, built once; not a field, so eq and hash ignore it
+        members = frozenset(self.seed).union(*self.rays)
+        object.__setattr__(self, "_members", members)
+
     def all_elements(self) -> GeneratorSet:
-        pts = set(self.seed)
-        for ray in self.rays:
-            pts.update(ray)
-        return GeneratorSet.of(pts)
+        return GeneratorSet.of(self._members)  # type: ignore[attr-defined]
 
     def __contains__(self, p: Point) -> bool:
-        if p in self.seed:
-            return True
-        return any(p in ray for ray in self.rays)
+        return p in self._members  # type: ignore[attr-defined]
 
     def to_json(self) -> dict:
         return {

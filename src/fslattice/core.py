@@ -100,10 +100,17 @@ class Point:
 
     @classmethod
     def from_json(cls, data: Sequence[int]) -> "Point":
-        return cls(tuple(int(c) for c in data))
+        return cls(tuple(int_array(data, "a point")))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
+
+
+def int_array(data: object, what: str) -> list[int]:
+    """Decoded JSON checked to be an array of integers (booleans excluded)."""
+    if not isinstance(data, (list, tuple)) or not all(type(v) is int for v in data):
+        raise ValidationError(f"{what} must be an array of integers, got {str(data)[:40]}")
+    return list(data)
 
 
 def point_sum(points: Iterable[Point], dim: int) -> Point:
@@ -162,6 +169,8 @@ class GeneratorSet:
 
     @classmethod
     def from_json(cls, data: Sequence[Sequence[int]]) -> "GeneratorSet":
+        if not isinstance(data, (list, tuple)):
+            raise ValidationError("a generator set must be an array of points")
         return cls.of(Point.from_json(p) for p in data)
 
 

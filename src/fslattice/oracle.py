@@ -32,6 +32,11 @@ def fs_membership(X: GeneratorSet, target: Point) -> Optional[Representation]:
     Deterministic witness: generators are tried in canonical order and each is
     excluded before it is included, so the returned subset is the one an
     exclude-first depth-first search finds.
+
+    Every vector searched is <= target, so each is packed into one int with a
+    field of w bits per axis whose top (guard) bit stays clear; a <= b is then
+    one subtraction that cannot borrow across fields.  The search keeps an
+    explicit stack, so its depth is not bounded by the recursion limit.
     """
     if len(X) and X.dim != target.dim:
         raise ValidationError("generator/target dimension mismatch")
@@ -39,36 +44,44 @@ def fs_membership(X: GeneratorSet, target: Point) -> Optional[Representation]:
         return Representation((), target)
     gens = [g for g in X if g.fits_within(target)]
 
-    # suffix sums let us abandon branches that can no longer reach the target
-    dim = target.dim
-    suffix = [Point.zero(dim)] * (len(gens) + 1)
-    for i in range(len(gens) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + gens[i]
+    w = max(target.coords).bit_length() + 1
+    guards = sum(1 << (w * j + w - 1) for j in range(target.dim))
 
-    failed: set[tuple[int, Point]] = set()
+    def pack(coords: Sequence[int]) -> int:
+        return sum(c << (w * j) for j, c in enumerate(coords))
 
-    def search(i: int, rem: Point) -> Optional[list[Point]]:
-        if rem.is_zero:
-            return []
-        if i == len(gens) or not rem.fits_within(suffix[i]):
+    # suffix sums, clamped to the target, let us abandon branches that can no
+    # longer reach it; rem <= target, so clamping keeps the test exact
+    n = len(gens)
+    packed = [pack(g.coords) for g in gens]
+    suffix = [0] * (n + 1)
+    total = [0] * target.dim
+    for i in range(n - 1, -1, -1):
+        total = [min(s + c, t) for s, c, t in zip(total, gens[i].coords, target.coords)]
+        suffix[i] = pack(total)
+
+    failed: list[set[int]] = [set() for _ in range(n)]
+    stack: list[list] = []  # frames [i, rem, included] of the open calls
+    i, rem = 0, pack(target.coords)
+    while True:
+        if rem == 0:
+            members = tuple(gens[f[0]] for f in stack if f[2])
+            return Representation(members, target)
+        if i < n and ((suffix[i] | guards) - rem) & guards == guards and rem not in failed[i]:
+            stack.append([i, rem, False])
+            i += 1  # exclude first
+            continue
+        while stack:  # this call failed: back up to the latest untried include
+            frame = stack[-1]
+            i, rem, included = frame
+            if not included and ((rem | guards) - packed[i]) & guards == guards:
+                frame[2] = True
+                i, rem = i + 1, rem - packed[i]
+                break
+            failed[i].add(rem)
+            stack.pop()
+        else:
             return None
-        key = (i, rem)
-        if key in failed:
-            return None
-        sub = search(i + 1, rem)  # exclude first
-        if sub is not None:
-            return sub
-        if gens[i].fits_within(rem):
-            sub = search(i + 1, rem - gens[i])
-            if sub is not None:
-                return [gens[i]] + sub
-        failed.add(key)
-        return None
-
-    members = search(0, target)
-    if members is None:
-        return None
-    return Representation(tuple(members), target)
 
 
 class ReachableSet(Set):

@@ -34,6 +34,7 @@ class CriterionResult:
     passed: bool
     details: dict
     elapsed: float  # not serialized: timings must not break determinism
+    time_limit_s: Optional[float]  # not serialized either
 
     def to_json(self) -> dict:
         return {
@@ -308,8 +309,8 @@ def crit_trm_bound(seed: int, cell_cap: int) -> dict:
 
 
 def crit_determinism(seed: int, cell_cap: int) -> dict:
-    first = selftest_payload(seed, cell_cap, ids=range(1, 12))
-    second = selftest_payload(seed, cell_cap, ids=range(1, 12))
+    first = payload_of(seed, run_criteria(seed, cell_cap, ids=range(1, 12)))
+    second = payload_of(seed, run_criteria(seed, cell_cap, ids=range(1, 12)))
     a = json.dumps(first, sort_keys=True).encode()
     b = json.dumps(second, sort_keys=True).encode()
     return {
@@ -346,16 +347,20 @@ def run_criterion(cid: int, seed: int = 0, cell_cap: int = DEFAULT_CELL_CAP) -> 
     limit = out.get("time_limit_s")
     if limit is not None and elapsed >= limit:
         passed = False
-    return CriterionResult(id=cid, name=name, passed=passed, details=out["details"], elapsed=elapsed)
+    return CriterionResult(cid, name, passed, out["details"], elapsed, limit)
 
 
-def selftest_payload(
+def run_criteria(
     seed: int = 0,
     cell_cap: int = DEFAULT_CELL_CAP,
     ids: Optional[Sequence[int]] = None,
-) -> dict:
+) -> list[CriterionResult]:
     wanted = list(ids) if ids is not None else [cid for cid, _, _ in CRITERIA]
-    results = [run_criterion(cid, seed, cell_cap) for cid in wanted]
+    return [run_criterion(cid, seed, cell_cap) for cid in wanted]
+
+
+def payload_of(seed: int, results: Sequence[CriterionResult]) -> dict:
+    """The deterministic JSON payload of a run: no timings."""
     return {
         "seed": seed,
         "criteria": [r.to_json() for r in results],

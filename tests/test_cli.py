@@ -1,6 +1,8 @@
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fslattice.cli import main
 from fslattice.core import Point, Representation, validate_representation
@@ -171,6 +173,13 @@ class TestSelftest:
         assert payload["all_passed"]
         assert "[PASS]" in err
 
+    def test_stderr_shows_timings(self, capsys):
+        code, _, err = run(capsys, ["selftest", "--criteria", "9,10"])
+        assert code == 0
+        nine, ten = err.splitlines()
+        assert re.fullmatch(r"\[PASS\]  9 iterated sumset inequality +\d+\.\d\d s", nine)
+        assert re.fullmatch(r"\[PASS\] 10 five distinct squares +\d+\.\d\d s \(limit 5 s\)", ten)
+
     def test_byte_determinism(self, capsys):
         _, first, _ = run(capsys, ["selftest", "--criteria", "5"])
         _, second, _ = run(capsys, ["selftest", "--criteria", "5"])
@@ -223,14 +232,23 @@ class TestExitCodes:
             (["selftest", "--criteria", "13"], None, None),
             (["selftest", "--criteria", "1,x"], None, None),
             (["gap", "build", "--A", "a.json", "--B", "b.json", "--L", "3,x"], None, None),
+            (["gap", "build", "--A", "nested.json", "--B", "b.json", "--L", "3"], None, None),
             (["gap", "five-squares", "--lo", "30", "--hi", "30"], "abc", None),
             (["gap", "five-squares", "--lo", "30", "--hi", "30"], None, {"cell_cap": "5"}),
         ],
-        ids=["unknown-criterion", "bad-criteria", "bad-lengths", "bad-env-cap", "string-config"],
+        ids=[
+            "unknown-criterion",
+            "bad-criteria",
+            "bad-lengths",
+            "nested-array",
+            "bad-env-cap",
+            "string-config",
+        ],
     )
     def test_bad_input_is_one_line(self, capsys, monkeypatch, tmp_path, argv, env, config):
         write_json(tmp_path / "a.json", list(range(1, 13)))
         write_json(tmp_path / "b.json", [1, 2])
+        write_json(tmp_path / "nested.json", [[1, 2], [3]])
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         if env is not None:
             monkeypatch.setenv("FSLATTICE_CAP", env)
@@ -249,3 +267,33 @@ class TestExitCodes:
         )
         assert code == 2
         assert "resource error" in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**80) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=12,
+)
+generator_lists = st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=2), max_size=8)
+targets = st.text(max_size=8) | st.lists(st.integers(-1, 2**72), max_size=3).map(
+    lambda cs: ",".join(map(str, cs))
+)
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.one_of(generator_lists.map(json.dumps), json_values.map(json.dumps), st.text(max_size=12)),
+    targets,
+)
+def test_fs_check_fuzz(capsys, tmp_path, generators, target):
+    path = tmp_path / "fuzz.json"
+    path.write_text(generators)
+    code, out, err = run(capsys, ["fs", "check", "--generators", str(path), "--target", target])
+    assert code in {0, 1, 2, 64}
+    assert "Traceback" not in err
+    if code == 0:
+        payload = json.loads(out)
+        if payload["reachable"]:
+            assert validate_representation(Representation.from_json(payload["representation"]))
+    else:
+        assert out == "" and err.count("\n") == 1

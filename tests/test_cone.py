@@ -117,6 +117,16 @@ class TestBuildThinGenerators:
         with pytest.raises(ValidationError):
             cone.build_thin_generators(SPEC, -1)
 
+    def test_membership_agrees_with_all_elements(self):
+        X = cone.build_thin_generators(SPEC, 5)
+        elements = X.all_elements()
+        assert all(p in X and p in elements for ray in X.rays for p in ray)
+        for x in range(70):
+            for y in range(70):
+                p = Point((x, y))
+                assert (p in X) == (p in elements)
+        assert Point((1, 2, 0)) not in X
+
 
 class TestPeel:
     def test_ray_point(self):

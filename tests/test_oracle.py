@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +167,48 @@ def sets_and_boxes(draw):
     hi = draw(_coords(dim, bound))
     lo = tuple(draw(st.integers(min_value=0, max_value=h)) for h in hi)
     return GeneratorSet.of(Point(t) for t in coords), Box(Point(lo), Point(hi))
+
+
+class TestMembershipSearch:
+    @settings(deadline=None, max_examples=80)
+    @given(sets_and_boxes())
+    def test_witness_is_first_include_vector(self, case):
+        X, box = case
+        target = box.hi
+        # include vectors in lexicographic order, generator 0 most significant:
+        # the order in which the exclude-first search meets them
+        first = next(
+            (
+                bits
+                for bits in product((0, 1), repeat=len(X))
+                if point_sum([g for g, b in zip(X, bits) if b], target.dim) == target
+            ),
+            None,
+        )
+        rep = fs_membership(X, target)
+        expected = None if first is None else tuple(g for g, b in zip(X, first) if b)
+        assert (None if rep is None else rep.members) == expected
+        reach = fs_enumerate(X, Box(Point.zero(target.dim), target))
+        assert (rep is not None) == (target in reach)
+
+    def test_wide_fields(self):
+        big = 1 << 70
+        X = GeneratorSet.of(
+            [Point((1, 1)), Point((3, 0)), Point((big - 1, 2)), Point((big, 1)), Point((2, big))]
+        )
+        rep = fs_membership(X, Point((big + 3, 3)))
+        assert rep is not None
+        assert rep.members == (Point((1, 1)), Point((3, 0)), Point((big - 1, 2)))
+        for t in [(big + 2, 3), (big + 1, 2), (3, big + 1), (6, big), (5, big + 1), (big, big)]:
+            rep = fs_membership(X, Point(t))
+            assert (rep is not None) == brute_member(X, Point(t))
+            assert rep is None or validate_representation(rep)
+
+    def test_deep_search_has_no_recursion_limit(self):
+        X = GeneratorSet.of(Point((i, 1)) for i in range(1, 1501))
+        rep = fs_membership(X, Point((2999, 2)))
+        assert rep is not None
+        assert rep.members == (Point((1499, 1)), Point((1500, 1)))
 
 
 class TestReachableSet:
