@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import cone, dyadic, gaps
-from .config import RunConfig
+from .config import RunConfig, read_json
 from .core import (
     Box,
     GeneratorSet,
@@ -75,11 +75,11 @@ def _require_2d(value: Box | Point, what: str) -> None:
 
 
 def _load_generators(path: str) -> GeneratorSet:
-    return GeneratorSet.from_json(json.loads(Path(path).read_text()))
+    return GeneratorSet.from_json(read_json(path))
 
 
 def _load_ints(path: str) -> list[int]:
-    return int_array(json.loads(Path(path).read_text()), path)
+    return int_array(read_json(path), path)
 
 
 def _parse_cone_vectors(text: str) -> cone.ConeSpec:
@@ -210,7 +210,7 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
         X = cone.build_thin_generators(spec, depth)
         _emit(X.to_json(), args.out)
         return EXIT_OK
-    data = json.loads(Path(args.spec).read_text())
+    data = read_json(args.spec)
     spec = cone.ConeSpec.from_json(data.get("spec", data))
     if args.command == "decompose":
         target = parse_point(args.point)

@@ -14,6 +14,15 @@ from .oracle import DEFAULT_CELL_CAP
 ENV_CAP = "FSLATTICE_CAP"
 
 
+def read_json(path: str) -> object:
+    """Decode the JSON file at `path`; nesting too deep to decode is a ValidationError."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: JSON nested too deeply to decode") from exc
+
+
 @dataclass(frozen=True)
 class RunConfig:
     cell_cap: int = DEFAULT_CELL_CAP
@@ -33,7 +42,9 @@ class RunConfig:
         """Optional JSON config file; FSLATTICE_CAP overrides the cell cap."""
         values: dict = {}
         if path is not None:
-            data = json.loads(Path(path).read_text())
+            data = read_json(path)
+            if not isinstance(data, dict):
+                raise ValidationError(f"config must be a JSON object, got {str(data)[:40]}")
             known = {f.name for f in fields(cls)}
             unknown = set(data) - known
             if unknown:

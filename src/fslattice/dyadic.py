@@ -4,8 +4,9 @@ Outside the exceptional set E = {(a,b): 2^b <= a or 2^a <= b} every point has
 a constructive representation by splitting dyadic expansions; inside E there
 are arbitrarily large squares with no reachable point at all, and other
 squares that are dense with "horizontal" sums.  All log comparisons are done
-as exact power comparisons, and doubly-exponential corners stay positional
-via BitInt.
+as exact power comparisons.  The empty square's corner is a BitInt; the dense
+squares' corner 2^(2^(R+1)) is kept as its bit position, and the low part
+below it is checked with plain ints.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Container, Sequence
 
-from .bitint import BitInt, IntLike, as_bitint, bit_sum, power_le
+from .bitint import BitInt, IntLike, as_bitint, power_le
 from .core import DomainError, GeneratorSet, Point, Representation, ValidationError
 
 
@@ -174,8 +175,8 @@ def dense_square_count(R: int) -> DenseSquareReport:
 
     Computed two independent ways and asserted equal: the binomial formula
     over term counts k, and direct enumeration of n = 2^(2^(R+1)) + r with
-    r < 2^R.  Every enumerated point is validated by constructing its
-    horizontal representation positionally (no dense big integers).
+    r < 2^R.  Every enumerated point's horizontal representation is checked
+    with ints, the corner kept as its bit position 2^(R+1).
     """
     if R < 1:
         raise ValidationError("R must be >= 1")
@@ -186,17 +187,12 @@ def dense_square_count(R: int) -> DenseSquareReport:
         per_k.append((k, contrib))
         formula += contrib
 
-    corner_bit = 1 << (R + 1)  # bit position of the square's corner value
-    lo = BitInt((corner_bit,))
-    hi = bit_sum([lo, BitInt.from_int((1 << R) - 1)])
-    cap = BitInt((R,))  # vertical bound 2^R
     enumeration = 0
     for r in range(1 << R):
-        n = BitInt(tuple(i for i in range(R) if (r >> i) & 1) + (corner_bit,))
-        k = n.popcount
+        lows = [c for c in range(R) if (r >> c) & 1]
+        k = r.bit_count() + 1  # the corner term plus one term per low bit
         for f in range(_max_doubling(R, k) + 1):
-            m = BitInt.from_int(k).shifted(f)
-            _validate_horizontal(n, m, f, lo, hi, cap)
+            _validate_horizontal(R, r, lows, f, k << f)
             enumeration += 1
 
     if enumeration != formula:
@@ -217,20 +213,19 @@ def dense_square_count(R: int) -> DenseSquareReport:
     )
 
 
-def _validate_horizontal(
-    n: BitInt, m: BitInt, f: int, lo: BitInt, hi: BitInt, cap: BitInt
-) -> None:
-    """Check the explicit horizontal representation of (n, m) positionally."""
-    firsts = [BitInt((c,)) for c in n.bits]  # pairwise distinct powers
-    if bit_sum(firsts) != n:
+def _validate_horizontal(R: int, r: int, lows: list[int], f: int, m: int) -> None:
+    """Check the firsts 2^(2^(R+1)), 2^c (c in lows) and the seconds 2^f with ints."""
+    corner_bit = 1 << (R + 1)  # the corner's one bit; n = 2^corner_bit + r is never formed
+    distinct = len(set(lows)) == len(lows)
+    if not distinct or sum(1 << c for c in lows) != r or r.bit_length() > corner_bit:
         raise AssertionError("first coordinates do not sum to n")
-    seconds = bit_sum([BitInt((f,))] * n.popcount)
-    if seconds != m:
+    if (len(lows) + 1) << f != m:
         raise AssertionError("second coordinates do not sum to m")
-    if not (lo <= n <= hi and m <= cap):
-        raise AssertionError("point escapes the dense square")
-    if not in_exceptional(n, m):
+    # in_exceptional(n, m) for m < n: 2^m <= n iff m < n.bit_length() == corner_bit + 1
+    if m > corner_bit:
         raise AssertionError("dense-square point unexpectedly outside E")
+    if not (0 <= r < 1 << R and m <= 1 << R):
+        raise AssertionError("point escapes the dense square")
 
 
 # heatmap levels for `dyadic map`

@@ -50,9 +50,7 @@ def popular_sum(values: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
     _check_ascending(values, "values")
     if len(values) < 2:
         raise ValidationError("need at least two elements")
-    sums = _pair_sums(values)
-    x = max(sums, key=lambda s: (len(sums[s]), -s))
-    return x, sorted(sums[x])
+    return _best_sum_below(values, 0, None)  # type: ignore[return-value]
 
 
 def _best_sum_below(

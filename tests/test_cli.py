@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import fslattice
 from fslattice.cli import main
 from fslattice.core import Point, Representation, validate_representation
 
@@ -132,6 +137,17 @@ class TestDyadic:
         assert payload["exact_count"] == 21
         assert payload["enumeration_count"] == 21
 
+    def test_runs_as_module(self):
+        src = str(Path(fslattice.__file__).parent.parent)
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fslattice", "dyadic", "dense-square", "--R", "3"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["exact_count"] == 21
+
     def test_map_writes_pgm(self, capsys, tmp_path):
         pgm = tmp_path / "e.pgm"
         code, out, _ = run(capsys, ["dyadic", "map", "--box", "1,1,16,16", "--out", str(pgm)])
@@ -235,6 +251,9 @@ class TestExitCodes:
             (["gap", "build", "--A", "nested.json", "--B", "b.json", "--L", "3"], None, None),
             (["gap", "five-squares", "--lo", "30", "--hi", "30"], "abc", None),
             (["gap", "five-squares", "--lo", "30", "--hi", "30"], None, {"cell_cap": "5"}),
+            (["fs", "check", "--generators", "deep.json", "--target", "1,1"], None, None),
+            (["--config", "deep.json", "gap", "five-squares", "--lo", "30", "--hi", "30"], None, None),
+            (["gap", "five-squares", "--lo", "30", "--hi", "30"], None, 5),
         ],
         ids=[
             "unknown-criterion",
@@ -243,12 +262,16 @@ class TestExitCodes:
             "nested-array",
             "bad-env-cap",
             "string-config",
+            "deep-generators",
+            "deep-config",
+            "non-object-config",
         ],
     )
     def test_bad_input_is_one_line(self, capsys, monkeypatch, tmp_path, argv, env, config):
         write_json(tmp_path / "a.json", list(range(1, 13)))
         write_json(tmp_path / "b.json", [1, 2])
         write_json(tmp_path / "nested.json", [[1, 2], [3]])
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         if env is not None:
             monkeypatch.setenv("FSLATTICE_CAP", env)

@@ -179,6 +179,70 @@ class TestDenseSquare:
         with pytest.raises(ValidationError):
             dyadic.dense_square_count(0)
 
+    # contributions for k = 1..R+1, from the positional BitInt census
+    PINNED = {
+        1: [2, 1],
+        2: [3, 4, 1],
+        3: [4, 9, 6, 2],
+        4: [5, 16, 18, 12, 2],
+        5: [6, 25, 40, 40, 15, 3],
+        6: [7, 36, 75, 100, 60, 24, 4],
+        7: [8, 49, 126, 210, 175, 105, 35, 5],
+        8: [9, 64, 196, 392, 420, 336, 168, 48, 5],
+        9: [10, 81, 288, 672, 882, 882, 588, 252, 54, 6],
+        10: [11, 100, 405, 1080, 1680, 2016, 1680, 960, 315, 70, 7],
+        11: [12, 121, 550, 1650, 2970, 4158, 4158, 2970, 1320, 440, 88, 8],
+        12: [13, 144, 726, 2420, 4950, 7920, 9240, 7920, 4455, 1980, 594, 108, 9],
+    }
+
+    @pytest.mark.parametrize("R", range(1, 13))
+    def test_pinned_census(self, R):
+        rep = dyadic.dense_square_count(R)
+        assert rep.exact_count == rep.enumeration_count == sum(self.PINNED[R])
+        assert rep.per_k == tuple(enumerate(self.PINNED[R], start=1))
+
+    def test_valid_point_passes(self):
+        # R = 3: n = 2^16 + 0b101, three firsts, seconds 2^1 each
+        dyadic._validate_horizontal(3, 5, [0, 2], 1, 6)
+
+    @pytest.mark.parametrize(
+        "r, lows, f, m, message",
+        [
+            (5, [0, 1], 1, 6, "first coordinates"),  # low bits sum to 3, not 5
+            (2, [0, 0], 0, 3, "first coordinates"),  # 1 + 1 = 2, but not distinct
+            (1 << 16, [16], 0, 2, "first coordinates"),  # r reaches the corner bit
+            (5, [0, 2], 1, 8, "second coordinates"),  # 3 copies of 2 are 6
+            (0, [], 4, 16, "escapes the dense square"),  # above the cap 2^3, still in E
+            (0, [], 5, 32, "outside E"),  # above corner_bit = 16
+        ],
+        ids=["wrong-low-bits", "repeated-low-bit", "r-reaches-corner", "wrong-m",
+             "m-above-cap", "m-above-corner-bit"],
+    )
+    def test_each_check_can_fire(self, r, lows, f, m, message):
+        with pytest.raises(AssertionError, match=message):
+            dyadic._validate_horizontal(3, r, lows, f, m)
+
+    def test_every_point_is_validated(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(dyadic, "_validate_horizontal", lambda *args: seen.append(args))
+        rep = dyadic.dense_square_count(6)
+        # one call per point, and the points (r, m) are pairwise distinct
+        assert len(seen) == len({(r, m) for _, r, _, _, m in seen}) == rep.exact_count
+
+    def test_census_builds_no_bitint(self, monkeypatch):
+        built = []
+        post_init = BitInt.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(BitInt, "__post_init__", counting)
+        dyadic.dense_square_count(12)
+        assert not built
+        BitInt((1, 3))
+        assert len(built) == 1
+
 
 class TestExceptionalMap:
     def test_levels(self):
