@@ -1,10 +1,8 @@
 """Structure of subset sums of lattice point sets: oracles, thin cone
 generators, dyadic-grid geometry, and GAP/dense-rectangle constructions."""
 
-from .bitint import BitInt, bit_sum
 from .core import (
     Box,
-    CountingProfile,
     DensityError,
     DepthError,
     DomainError,
@@ -12,17 +10,13 @@ from .core import (
     Point,
     Representation,
     ResourceLimitError,
-    TranslatedOrthant,
     ValidationError,
-    counting_profile,
     validate_representation,
 )
-from .oracle import fs_enumerate, fs_membership, trm, uncovered_point_search
+from .oracle import fs_enumerate, fs_membership, trm
 
 __all__ = [
-    "BitInt",
     "Box",
-    "CountingProfile",
     "DensityError",
     "DepthError",
     "DomainError",
@@ -30,14 +24,10 @@ __all__ = [
     "Point",
     "Representation",
     "ResourceLimitError",
-    "TranslatedOrthant",
     "ValidationError",
-    "bit_sum",
-    "counting_profile",
     "fs_enumerate",
     "fs_membership",
     "trm",
-    "uncovered_point_search",
     "validate_representation",
 ]
 

@@ -74,6 +74,11 @@ def _require_2d(value: Box | Point, what: str) -> None:
         raise ValidationError(f"{what} needs 2D input, got {value.dim}D")
 
 
+def _check_cap(points: int, what: str, cfg: RunConfig) -> None:
+    if points > cfg.cell_cap:
+        raise ResourceLimitError(f"{what} has {points} points, above the cap of {cfg.cell_cap}")
+
+
 def _load_generators(path: str) -> GeneratorSet:
     return GeneratorSet.from_json(read_json(path))
 
@@ -211,7 +216,9 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
         _emit(X.to_json(), args.out)
         return EXIT_OK
     data = read_json(args.spec)
-    spec = cone.ConeSpec.from_json(data.get("spec", data))
+    spec = cone.ConeSpec.from_json(data.get("spec", data) if isinstance(data, dict) else data)
+    if "depth" in data and type(data["depth"]) is not int:  # from_json saw a dict
+        raise ValidationError(f"depth must be an integer, got {data['depth']!r}")
     if args.command == "decompose":
         target = parse_point(args.point)
         depth = data.get("depth", cone.default_depth(spec, target))
@@ -221,6 +228,7 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
         return EXIT_OK
     # verify
     limit = args.max
+    _check_cap((limit + 1) ** spec.k, "cone verify window", cfg)
     X = cone.build_thin_generators(
         spec, cone.default_depth(spec, Point((limit,) * spec.k))
     )
@@ -278,10 +286,11 @@ def _cmd_dyadic(args, cfg: RunConfig) -> int:
         )
         return EXIT_OK
     if args.command == "empty-square":
+        _check_cap(args.D**2, "empty square", cfg)
         cert = dyadic.empty_square(args.D)
         payload = {
-            "x0": cert.square.x0.to_json(),
-            "y0": cert.square.y0.to_json(),
+            "x0": dyadic.bit_positions(cert.square.x0),
+            "y0": dyadic.bit_positions(cert.square.y0),
             "side": cert.square.side,
             "certificate_ok": cert.all_unreachable(),
         }
@@ -294,6 +303,10 @@ def _cmd_dyadic(args, cfg: RunConfig) -> int:
             payload["verified"] = not reach.points
         _emit(payload, args.out)
         return EXIT_OK
+    if args.R >= cfg.cell_cap.bit_length():  # 2^R > cell_cap, without forming 2^R
+        raise ResourceLimitError(
+            f"dense square has 2^{args.R} points, above the cap of {cfg.cell_cap}"
+        )
     rep = dyadic.dense_square_count(args.R)
     _emit(
         {
@@ -324,6 +337,7 @@ def _cmd_gap(args, cfg: RunConfig) -> int:
         )
         _emit(report.to_json(), args.out)
         return EXIT_OK
+    _check_cap(args.hi - args.lo + 1, "five-squares range", cfg)
     failures = gaps.five_squares_check(args.lo, args.hi)
     _emit({"lo": args.lo, "hi": args.hi, "failures": failures}, args.out)
     return EXIT_OK

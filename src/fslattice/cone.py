@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .core import (
+    Box,
     DepthError,
     DomainError,
     GeneratorSet,
@@ -103,31 +104,10 @@ class ConeSpec:
         return {"v": [p.to_json() for p in self.v]}
 
     @classmethod
-    def from_json(cls, data: dict) -> "ConeSpec":
+    def from_json(cls, data: object) -> "ConeSpec":
+        if not isinstance(data, dict) or not isinstance(data.get("v"), list):
+            raise ValidationError(f'cone spec needs an object with an array "v": {str(data)[:40]}')
         return cls(tuple(Point.from_json(p) for p in data["v"]))
-
-
-@dataclass(frozen=True)
-class BarycentricCoords:
-    """Exact coefficients a with p = sum a_i * v_i."""
-
-    a: tuple[Fraction, ...]
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.a, Fraction(0))
-
-    def in_cone(self) -> bool:
-        return all(x >= 0 for x in self.a)
-
-    def in_scaled_simplex(self, c: int) -> bool:
-        """p in the simplex on c*v_1..c*v_k, i.e. all a_i >= 0 and sum <= c."""
-        return self.in_cone() and self.total <= c
-
-
-def barycentric(spec: ConeSpec, p: Point) -> BarycentricCoords:
-    nums, den = spec.coeff_numerators(p)
-    return BarycentricCoords(tuple(Fraction(x, den) for x in nums))
 
 
 def face_cover_index(a: Sequence[Fraction], lam: Fraction) -> int:
@@ -196,22 +176,12 @@ def build_thin_generators(spec: ConeSpec, depth: int) -> ThinGeneratorSet:
     if depth < 0:
         raise ValidationError("depth must be >= 0")
     k = spec.k
-    hi = tuple(k * max(v.coords[j] for v in spec.v) for j in range(k))
+    hi = Point(tuple(k * max(v.coords[j] for v in spec.v) for j in range(k)))
     seed_points = []
-
-    def scan(prefix: tuple[int, ...], i: int) -> None:
-        if i == k:
-            p = Point(prefix)
-            if p.is_zero:
-                return
-            nums, den = spec.coeff_numerators(p)
-            if all(x >= 0 for x in nums) and sum(nums) <= k * den:
-                seed_points.append(p)
-            return
-        for c in range(hi[i] + 1):
-            scan(prefix + (c,), i + 1)
-
-    scan((), 0)
+    for p in Box(Point.zero(k), hi).points_lex():
+        nums, den = spec.coeff_numerators(p)
+        if not p.is_zero and all(x >= 0 for x in nums) and sum(nums) <= k * den:
+            seed_points.append(p)
     rays = tuple(
         tuple(v.scale(1 << j) for j in range(depth + 1)) for v in spec.v
     )

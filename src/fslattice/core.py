@@ -1,4 +1,4 @@
-"""Exact lattice arithmetic primitives: points, regions, representations, counting.
+"""Exact lattice arithmetic primitives: points, boxes, generator sets, representations.
 
 Everything here is immutable and pure; all downstream algorithms depend on the
 canonical (lexicographic) ordering fixed by GeneratorSet.
@@ -6,10 +6,8 @@ canonical (lexicographic) ordering fixed by GeneratorSet.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class ValidationError(ValueError):
@@ -54,10 +52,6 @@ class Point:
         for c in self.coords:
             if not isinstance(c, int) or c < 0:
                 raise ValidationError(f"coordinates must be nonnegative integers, got {c!r}")
-
-    @classmethod
-    def of(cls, *coords: int) -> "Point":
-        return cls(tuple(coords))
 
     @classmethod
     def zero(cls, dim: int) -> "Point":
@@ -111,6 +105,15 @@ def int_array(data: object, what: str) -> list[int]:
     if not isinstance(data, (list, tuple)) or not all(type(v) is int for v in data):
         raise ValidationError(f"{what} must be an array of integers, got {str(data)[:40]}")
     return list(data)
+
+
+def check_ascending(values: Sequence[int], name: str) -> None:
+    """Reject values that are not strictly ascending positive integers."""
+    prev = 0
+    for v in values:
+        if v <= prev:
+            raise ValidationError(f"{name} must be ascending, distinct and positive")
+        prev = v
 
 
 def point_sum(points: Iterable[Point], dim: int) -> Point:
@@ -206,7 +209,9 @@ def validate_representation(r: Representation) -> bool:
             raise ValidationError("member/target dimension mismatch")
     if len(set(r.members)) != len(r.members):
         return False
-    return point_sum(r.members, dim) == r.target
+    # column i holds the target's coordinate i, then each member's
+    columns = zip(r.target.coords, *(m.coords for m in r.members))
+    return all(t == sum(col) for t, *col in columns)
 
 
 @dataclass(frozen=True)
@@ -228,12 +233,6 @@ class Box:
     def contains(self, p: Point) -> bool:
         return self.lo.fits_within(p) and p.fits_within(self.hi)
 
-    def volume(self) -> int:
-        v = 1
-        for a, b in zip(self.lo.coords, self.hi.coords):
-            v *= b - a + 1
-        return v
-
     def points_lex(self) -> Iterator[Point]:
         """All lattice points of the box in lexicographic order."""
 
@@ -245,49 +244,6 @@ class Box:
                 yield from rec(prefix + (c,), i + 1)
 
         return rec((), 0)
-
-
-@dataclass(frozen=True)
-class TranslatedOrthant:
-    """The region z + N^k with N = {1,2,...}: strictly beyond z in every axis."""
-
-    z: Point
-
-    @property
-    def dim(self) -> int:
-        return self.z.dim
-
-    def contains(self, p: Point) -> bool:
-        self.z._check_dim(p)
-        return all(c > zc for c, zc in zip(p.coords, self.z.coords))
-
-
-@dataclass(frozen=True)
-class CountingProfile:
-    """Counting-function sample: `count` elements below n, exponent log(count)/log(n)."""
-
-    n: int
-    count: int
-    exponent: Optional[float]
-
-
-def counting_profile(values: Sequence[int], n: int) -> CountingProfile:
-    """Count how many of the ascending `values` are <= n, with its density exponent.
-
-    The exponent is a report value only (None when n < 2 or the count is zero).
-    """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    prev = 0
-    for v in values:
-        if v <= prev:
-            raise ValidationError("values must be ascending, distinct and positive")
-        prev = v
-    count = bisect_right(list(values), n)
-    exponent = None
-    if n >= 2 and count >= 1:
-        exponent = math.log(count) / math.log(n)
-    return CountingProfile(n=n, count=count, exponent=exponent)
 
 
 def parse_point(text: str) -> Point:

@@ -4,9 +4,9 @@ Outside the exceptional set E = {(a,b): 2^b <= a or 2^a <= b} every point has
 a constructive representation by splitting dyadic expansions; inside E there
 are arbitrarily large squares with no reachable point at all, and other
 squares that are dense with "horizontal" sums.  All log comparisons are done
-as exact power comparisons.  The empty square's corner is a BitInt; the dense
-squares' corner 2^(2^(R+1)) is kept as its bit position, and the low part
-below it is checked with plain ints.
+as exact power comparisons on Python ints.  The dense squares' corner
+2^(2^(R+1)) is kept as its bit position, never expanded; corners in JSON
+output are ascending lists of bit positions.
 """
 
 from __future__ import annotations
@@ -14,23 +14,22 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from typing import Container, Sequence
+from typing import Container
 
-from .bitint import BitInt, IntLike, as_bitint, power_le
 from .core import DomainError, GeneratorSet, Point, Representation, ValidationError
 
 
-def in_exceptional(a: IntLike, b: IntLike) -> bool:
+def in_exceptional(a: int, b: int) -> bool:
     """Exact membership in E: 2^b <= a or 2^a <= b (no floating-point logs)."""
-    if isinstance(a, int) and isinstance(b, int):
-        if a < 1 or b < 1:
-            raise ValidationError("coordinates must be >= 1")
-        # 2^b <= a exactly when b <= a.bit_length() - 1
-        return b < a.bit_length() or a < b.bit_length()
-    a, b = as_bitint(a), as_bitint(b)
-    if a.is_zero or b.is_zero:
+    if a < 1 or b < 1:
         raise ValidationError("coordinates must be >= 1")
-    return power_le(b, a) or power_le(a, b)
+    # 2^b <= a exactly when b <= a.bit_length() - 1
+    return b < a.bit_length() or a < b.bit_length()
+
+
+def bit_positions(n: int) -> list[int]:
+    """The exponents of n's binary expansion, ascending."""
+    return [i for i in range(n.bit_length()) if n >> i & 1]
 
 
 def split_to_terms(a: int, j: int) -> list[int]:
@@ -45,7 +44,7 @@ def split_to_terms(a: int, j: int) -> list[int]:
     if not n <= j <= a:
         raise DomainError(f"term count {j} outside [{n}, {a}]")
     # exponents kept ascending; the largest is at the end
-    exps = [i for i in range(a.bit_length()) if (a >> i) & 1]
+    exps = bit_positions(a)
     while len(exps) < j:
         c = exps.pop()
         insort(exps, c - 1)
@@ -83,8 +82,8 @@ def dyadic_represent(a: int, b: int) -> Representation:
         a, b = b, a
     n = bin(a).count("1")
     m = bin(b).count("1")
-    b_terms = [1 << i for i in reversed(range(b.bit_length())) if (b >> i) & 1]
-    a_terms = [1 << i for i in reversed(range(a.bit_length())) if (a >> i) & 1]
+    b_terms = [1 << i for i in reversed(bit_positions(b))]
+    a_terms = [1 << i for i in reversed(bit_positions(a))]
     if n <= m:
         firsts = split_to_terms(a, m)  # repetition allowed on the left
         seconds = b_terms  # m distinct powers on the right
@@ -103,10 +102,10 @@ def dyadic_represent(a: int, b: int) -> Representation:
 
 @dataclass(frozen=True)
 class SquareSpec:
-    """Axis-aligned square with BitInt corner coordinates."""
+    """Axis-aligned square with lower corner (x0, y0)."""
 
-    x0: BitInt
-    y0: BitInt
+    x0: int
+    y0: int
     side: int
 
 
@@ -132,22 +131,21 @@ def empty_square(D: int) -> EmptySquareCertificate:
     """
     if D < 1:
         raise ValidationError("D must be >= 1")
-    x0 = BitInt(tuple(range(D + 1, 2 * D + 2)))
-    x0_value = x0.value
+    x0 = (1 << (2 * D + 2)) - (1 << (D + 1))
     gaps = []
     for j in range(1, D + 1):
         for k in range(1, D + 1):
             # j < 2^(D+1) so the low bits never carry into x0's block
-            min_terms = bin(x0_value + j).count("1")
+            min_terms = (x0 + j).bit_count()
             max_terms = 1 + k
             gaps.append((j, k, min_terms, max_terms))
-    square = SquareSpec(x0=x0, y0=BitInt.from_int(1), side=D)
+    square = SquareSpec(x0=x0, y0=1, side=D)
     return EmptySquareCertificate(square=square, gaps=tuple(gaps))
 
 
 def empty_square_points(cert: EmptySquareCertificate) -> list[Point]:
     """Interior lattice points of the proof square, as machine-sized Points."""
-    x0 = cert.square.x0.value
+    x0 = cert.square.x0
     D = cert.square.side
     return [Point((x0 + j, 1 + k)) for j in range(1, D + 1) for k in range(1, D + 1)]
 
@@ -189,7 +187,7 @@ def dense_square_count(R: int) -> DenseSquareReport:
 
     enumeration = 0
     for r in range(1 << R):
-        lows = [c for c in range(R) if (r >> c) & 1]
+        lows = bit_positions(r)
         k = r.bit_count() + 1  # the corner term plus one term per low bit
         for f in range(_max_doubling(R, k) + 1):
             _validate_horizontal(R, r, lows, f, k << f)

@@ -25,16 +25,9 @@ from .core import (
     Representation,
     ResourceLimitError,
     ValidationError,
+    check_ascending,
 )
 from .oracle import DEFAULT_CELL_CAP, fs_enumerate, trm_table
-
-
-def _check_ascending(values: Sequence[int], name: str) -> None:
-    prev = 0
-    for v in values:
-        if v <= prev:
-            raise ValidationError(f"{name} must be ascending, distinct and positive")
-        prev = v
 
 
 def _pair_sums(values: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
@@ -43,14 +36,6 @@ def _pair_sums(values: Sequence[int]) -> dict[int, list[tuple[int, int]]]:
         for b in values[i + 1 :]:
             sums.setdefault(a + b, []).append((a, b))
     return sums
-
-
-def popular_sum(values: Sequence[int]) -> tuple[int, list[tuple[int, int]]]:
-    """The pair sum with the most disjoint representations (ties: smallest x)."""
-    _check_ascending(values, "values")
-    if len(values) < 2:
-        raise ValidationError("need at least two elements")
-    return _best_sum_below(values, 0, None)  # type: ignore[return-value]
 
 
 def _best_sum_below(
@@ -132,8 +117,8 @@ def build_gap(
     at finite scale a first-come greedy choice would exhaust the slice range
     before the later, larger differences could clear it.
     """
-    _check_ascending(A, "A")
-    _check_ascending(B, "B")
+    check_ascending(A, "A")
+    check_ascending(B, "B")
     if len(B) < 2:
         raise ValidationError("B needs at least two elements")
     if not L or any(x < 1 for x in L):
@@ -220,7 +205,7 @@ def find_ap_in_fs(A1: Sequence[int], H: int, cell_cap: int = DEFAULT_CELL_CAP) -
     guards against truncation artifacts at the top of the window.  Failure is
     an ordinary result, not an exception.
     """
-    _check_ascending(A1, "A1")
+    check_ascending(A1, "A1")
     if H < 8:
         raise ValidationError("H must be >= 8")
     if H + 1 > cell_cap:
@@ -266,7 +251,7 @@ def sumset_iterate(B_T: Sequence[int], Q: int) -> list[int]:
     Asserts the iterated Pluennecke-type lower bound |Q B| >= Q|B| - (Q-1) and
     the obvious range containment.
     """
-    _check_ascending(B_T, "B_T")
+    check_ascending(B_T, "B_T")
     if Q < 1:
         raise ValidationError("Q must be >= 1")
     if not B_T:
@@ -334,8 +319,8 @@ def dense_rectangle(
     bound sums those column guarantees; the measured count comes from the
     brute-force oracle.
     """
-    _check_ascending(A, "A")
-    _check_ascending(B, "B")
+    check_ascending(A, "A")
+    check_ascending(B, "B")
     if T < 1:
         raise ValidationError("T must be >= 1")
     B_T = [b for b in B if b <= T]

@@ -19,8 +19,8 @@ from .core import (
     Point,
     Representation,
     ResourceLimitError,
-    TranslatedOrthant,
     ValidationError,
+    check_ascending,
 )
 
 DEFAULT_CELL_CAP = 2**26
@@ -165,9 +165,6 @@ class ReachableSet(Set):
         assert i == 0
         return Representation(tuple(sorted(members)), p)
 
-    def witness_map(self) -> dict[Point, Representation]:
-        return {p: self.witness(p) for p in sorted(self)}
-
 
 # the set bit positions of each byte value, for iterating a bitset bytewise
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
@@ -196,11 +193,7 @@ def trm_table(values: Sequence[int], x_max: int) -> list[int]:
 
     (trm(0) = 0 is the empty sum; for x >= 1 a zero means not representable.)
     """
-    prev = 0
-    for v in values:
-        if v <= prev:
-            raise ValidationError("values must be ascending, distinct and positive")
-        prev = v
+    check_ascending(values, "values")
     NEG = -1
     best = [NEG] * (x_max + 1)
     best[0] = 0
@@ -218,26 +211,3 @@ def trm(values: Sequence[int], x: int) -> int:
     if x < 1:
         raise ValidationError("x must be >= 1")
     return trm_table(values, x)[x]
-
-
-def uncovered_point_search(
-    X: GeneratorSet,
-    region: TranslatedOrthant,
-    search_box: Box,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> Optional[Point]:
-    """First point (lex order) of the search box outside FS(X), or None.
-
-    The box must lie inside the translated orthant; every candidate is checked
-    independently through fs_membership.
-    """
-    if not region.contains(search_box.lo):
-        raise ValidationError("search box must be contained in the region")
-    if search_box.volume() > cell_cap:
-        raise ResourceLimitError(
-            f"search box has {search_box.volume()} cells, above the cap of {cell_cap}"
-        )
-    for p in search_box.points_lex():
-        if fs_membership(X, p) is None:
-            return p
-    return None

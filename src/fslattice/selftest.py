@@ -189,7 +189,7 @@ def crit_empty_squares(seed: int, cell_cap: int) -> dict:
         rows.append(
             {
                 "D": D,
-                "x0_bits": cert.square.x0.to_json(),
+                "x0_bits": dyadic.bit_positions(cert.square.x0),
                 "points": len(points),
                 "reachable": reachable,
                 "certificate_ok": cert.all_unreachable(),

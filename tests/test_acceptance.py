@@ -5,9 +5,13 @@ failure) and asserts the criterion's verdict, which already folds in the
 per-criterion runtime limits.
 """
 
+import hashlib
+import json
+
 import pytest
 
-from fslattice.selftest import CRITERIA, run_criterion
+from fslattice.cli import main
+from fslattice.selftest import CRITERIA, payload_of, run_criteria, run_criterion
 
 _IDS = [f"{cid:02d}-{name.replace(' ', '-')}" for cid, name, _ in CRITERIA]
 
@@ -20,3 +24,26 @@ def test_criterion(cid, name):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {cid:2d}: {name} ({result.elapsed:.2f}s)")
     assert result.passed, f"criterion {cid} ({name}) failed: {result.details}"
+
+
+# sha256 of the sorted-key JSON payload of criteria 1-11, which criterion 12
+# byte-compares; a change here changes `fslattice selftest` output
+PAYLOAD_SHA256 = {
+    0: "62a38673195ee087d4747add6f3031004e4913c31f7fa90a0984ed4653987426",
+    7: "e0ebfed31f5f88d94570b8d0450a3b0a61ab0695146ede5fe5e0b15cc981af98",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PAYLOAD_SHA256))
+def test_payload_is_pinned(seed):
+    payload = payload_of(seed, run_criteria(seed, ids=range(1, 12)))
+    text = json.dumps(payload, sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == PAYLOAD_SHA256[seed]
+
+
+def test_empty_square_output_is_pinned(capsys):
+    assert main(["dyadic", "empty-square", "--D", "2"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "certificate_ok": true,\n  "side": 2,\n'
+        '  "x0": [\n    3,\n    4,\n    5\n  ],\n  "y0": [\n    0\n  ]\n}\n'
+    )

@@ -254,6 +254,16 @@ class TestExitCodes:
             (["fs", "check", "--generators", "deep.json", "--target", "1,1"], None, None),
             (["--config", "deep.json", "gap", "five-squares", "--lo", "30", "--hi", "30"], None, None),
             (["gap", "five-squares", "--lo", "30", "--hi", "30"], None, 5),
+            (["cone", "decompose", "--spec", "spec-array.json", "--point", "3,3"], None, None),
+            (["cone", "verify", "--spec", "spec-array.json"], None, None),
+            (["cone", "decompose", "--spec", "spec-no-v.json", "--point", "3,3"], None, None),
+            (["cone", "verify", "--spec", "spec-no-v.json"], None, None),
+            (["cone", "decompose", "--spec", "spec-v-int.json", "--point", "3,3"], None, None),
+            (["cone", "verify", "--spec", "spec-v-int.json"], None, None),
+            (["cone", "decompose", "--spec", "spec-spec-array.json", "--point", "3,3"], None, None),
+            (["cone", "verify", "--spec", "spec-spec-array.json"], None, None),
+            (["cone", "decompose", "--spec", "spec-depth-str.json", "--point", "3,3"], None, None),
+            (["cone", "verify", "--spec", "spec-depth-str.json"], None, None),
         ],
         ids=[
             "unknown-criterion",
@@ -265,6 +275,16 @@ class TestExitCodes:
             "deep-generators",
             "deep-config",
             "non-object-config",
+            "cone-decompose-array",
+            "cone-verify-array",
+            "cone-decompose-no-v",
+            "cone-verify-no-v",
+            "cone-decompose-v-int",
+            "cone-verify-v-int",
+            "cone-decompose-spec-array",
+            "cone-verify-spec-array",
+            "cone-decompose-depth-string",
+            "cone-verify-depth-string",
         ],
     )
     def test_bad_input_is_one_line(self, capsys, monkeypatch, tmp_path, argv, env, config):
@@ -272,6 +292,11 @@ class TestExitCodes:
         write_json(tmp_path / "b.json", [1, 2])
         write_json(tmp_path / "nested.json", [[1, 2], [3]])
         (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        write_json(tmp_path / "spec-array.json", [[1, 2], [2, 1]])
+        write_json(tmp_path / "spec-no-v.json", {"w": 1})
+        write_json(tmp_path / "spec-v-int.json", {"v": 5})
+        write_json(tmp_path / "spec-spec-array.json", {"spec": [1]})
+        write_json(tmp_path / "spec-depth-str.json", {"v": [[1, 2], [2, 1]], "depth": "5"})
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         if env is not None:
             monkeypatch.setenv("FSLATTICE_CAP", env)
@@ -282,6 +307,51 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["dyadic", "dense-square", "--R", "60"], None),
+            (["dyadic", "dense-square", "--R", "4"], "8"),
+            (["dyadic", "empty-square", "--D", "100000"], None),
+            (["dyadic", "empty-square", "--D", "3"], "8"),
+            (["cone", "verify", "--spec", "cone.json", "--max", "100000"], None),
+            (["cone", "verify", "--spec", "cone.json", "--max", "3"], "15"),
+            (["gap", "five-squares", "--lo", "1", "--hi", "1000000000"], None),
+            (["gap", "five-squares", "--lo", "1", "--hi", "9"], "8"),
+        ],
+        ids=[
+            "dense-square",
+            "dense-square-small-cap",
+            "empty-square",
+            "empty-square-small-cap",
+            "cone-verify",
+            "cone-verify-small-cap",
+            "five-squares",
+            "five-squares-small-cap",
+        ],
+    )
+    def test_point_count_above_cap(self, capsys, monkeypatch, tmp_path, argv, env):
+        spec = write_json(tmp_path / "cone.json", {"v": [[1, 2], [2, 1]]})
+        argv = [spec if a == "cone.json" else a for a in argv]
+        if env is not None:
+            monkeypatch.setenv("FSLATTICE_CAP", env)
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("resource error: ") and err.count("\n") == 1
+
+    def test_point_count_at_cap_runs(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("FSLATTICE_CAP", "16")
+        spec = write_json(tmp_path / "cone.json", {"v": [[1, 2], [2, 1]]})
+        for argv in (
+            ["dyadic", "dense-square", "--R", "4"],
+            ["dyadic", "empty-square", "--D", "4"],
+            ["cone", "verify", "--spec", spec, "--max", "3"],
+            ["gap", "five-squares", "--lo", "1", "--hi", "16"],
+        ):
+            code, _, err = run(capsys, argv)
+            assert code == 0, err
 
     def test_resource_cap_env(self, capsys, monkeypatch, gens_file):
         monkeypatch.setenv("FSLATTICE_CAP", "50")

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fslattice import dyadic
-from fslattice.bitint import BitInt
 from fslattice.core import (
     Box,
     DomainError,
@@ -29,7 +28,7 @@ class TestInExceptional:
 
     def test_positional_inputs(self):
         # (2^1000, 10): 2^10 <= 2^1000
-        assert dyadic.in_exceptional(BitInt((1000,)), BitInt.from_int(10))
+        assert dyadic.in_exceptional(1 << 1000, 10)
 
     @given(
         st.integers(min_value=1, max_value=10**6),
@@ -37,15 +36,6 @@ class TestInExceptional:
     )
     def test_matches_direct_comparison(self, a, b):
         assert dyadic.in_exceptional(a, b) == (2**b <= a or 2**a <= b)
-
-    @given(
-        st.integers(min_value=1, max_value=2**70),
-        st.integers(min_value=1, max_value=2**70),
-    )
-    def test_int_path_matches_positional_path(self, a, b):
-        assert dyadic.in_exceptional(a, b) == dyadic.in_exceptional(
-            BitInt.from_int(a), BitInt.from_int(b)
-        )
 
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
@@ -129,7 +119,7 @@ class TestDyadicRepresent:
 class TestEmptySquare:
     def test_smallest_square(self):
         cert = dyadic.empty_square(1)
-        assert cert.square.x0.value == 12
+        assert cert.square.x0 == 12
         assert cert.all_unreachable()
         X = dyadic.dyadic_generators(Point((13, 2)))
         assert fs_membership(X, Point((13, 2))) is None
@@ -147,12 +137,12 @@ class TestEmptySquare:
             assert not (set(points) & set(reach.points))
 
     def test_d2_corner(self):
-        assert dyadic.empty_square(2).square.x0.value == 56
+        assert dyadic.empty_square(2).square.x0 == 56
 
     def test_d6_corner_positional(self):
         cert = dyadic.empty_square(6)
-        assert cert.square.x0.bits == tuple(range(7, 14))
-        assert cert.square.x0.value == 16256
+        assert dyadic.bit_positions(cert.square.x0) == list(range(7, 14))
+        assert cert.square.x0 == 16256
         assert cert.all_unreachable()
 
     def test_invalid_side(self):
@@ -228,20 +218,6 @@ class TestDenseSquare:
         rep = dyadic.dense_square_count(6)
         # one call per point, and the points (r, m) are pairwise distinct
         assert len(seen) == len({(r, m) for _, r, _, _, m in seen}) == rep.exact_count
-
-    def test_census_builds_no_bitint(self, monkeypatch):
-        built = []
-        post_init = BitInt.__post_init__
-
-        def counting(self):
-            built.append(self)
-            post_init(self)
-
-        monkeypatch.setattr(BitInt, "__post_init__", counting)
-        dyadic.dense_square_count(12)
-        assert not built
-        BitInt((1, 3))
-        assert len(built) == 1
 
 
 class TestExceptionalMap:

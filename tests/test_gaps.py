@@ -24,22 +24,20 @@ def oracle_reaches(points, A, B):
 
 
 class TestPopularSum:
+    """The most popular pair sum, as build_gap's stages pick it with no bounds."""
+
     def test_interval(self):
-        x, pairs = gaps.popular_sum(list(range(1, 13)))
+        x, pairs = gaps._best_sum_below(list(range(1, 13)), 0, None)
         assert x == 13
         assert pairs == [(1, 12), (2, 11), (3, 10), (4, 9), (5, 8), (6, 7)]
 
     def test_sidon_set_ties_break_low(self):
-        x, pairs = gaps.popular_sum([1, 2, 4, 8])
+        x, pairs = gaps._best_sum_below([1, 2, 4, 8], 0, None)
         assert x == 3
         assert pairs == [(1, 2)]
 
     def test_single_pair(self):
-        assert gaps.popular_sum([1, 2]) == (3, [(1, 2)])
-
-    def test_too_small(self):
-        with pytest.raises(ValidationError):
-            gaps.popular_sum([5])
+        assert gaps._best_sum_below([1, 2], 0, None) == (3, [(1, 2)])
 
 
 class TestBuildGap:
