@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain/validation error, 2 resource cap, 64 usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -77,6 +78,13 @@ def _require_2d(value: Box | Point, what: str) -> None:
 def _check_cap(points: int, what: str, cfg: RunConfig) -> None:
     if points > cfg.cell_cap:
         raise ResourceLimitError(f"{what} has {points} points, above the cap of {cfg.cell_cap}")
+
+
+def _thin_generators(spec: cone.ConeSpec, depth: int, cfg: RunConfig) -> cone.ThinGeneratorSet:
+    """build_thin_generators, refused above the cap: its k rays hold about k * depth^2 bits."""
+    if depth >= 0:  # a negative depth is build_thin_generators' ValidationError
+        _check_cap(spec.k * (depth + 1) ** 2, "cone rays", cfg)
+    return cone.build_thin_generators(spec, depth)
 
 
 def _load_generators(path: str) -> GeneratorSet:
@@ -212,7 +220,7 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
     if args.command == "build":
         spec = _parse_cone_vectors(args.v)
         depth = args.depth if args.depth is not None else cfg.ray_depth
-        X = cone.build_thin_generators(spec, depth)
+        X = _thin_generators(spec, depth, cfg)
         _emit(X.to_json(), args.out)
         return EXIT_OK
     data = read_json(args.spec)
@@ -222,7 +230,7 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
     if args.command == "decompose":
         target = parse_point(args.point)
         depth = data.get("depth", cone.default_depth(spec, target))
-        X = cone.build_thin_generators(spec, depth)
+        X = _thin_generators(spec, depth, cfg)
         X, rep = cone.decompose_auto(spec, X, target)
         _emit({"depth": X.depth, "representation": rep.to_json()}, args.out)
         return EXIT_OK
@@ -307,19 +315,7 @@ def _cmd_dyadic(args, cfg: RunConfig) -> int:
         raise ResourceLimitError(
             f"dense square has 2^{args.R} points, above the cap of {cfg.cell_cap}"
         )
-    rep = dyadic.dense_square_count(args.R)
-    _emit(
-        {
-            "R": rep.R,
-            "exact_count": rep.exact_count,
-            "enumeration_count": rep.enumeration_count,
-            "per_k": [list(t) for t in rep.per_k],
-            "chain_threshold": rep.chain_threshold,
-            "closed_form_lower": rep.closed_form_lower,
-            "quarter_bound": rep.quarter_bound,
-        },
-        args.out,
-    )
+    _emit(dataclasses.asdict(dyadic.dense_square_count(args.R)), args.out)
     return EXIT_OK
 
 

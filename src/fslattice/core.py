@@ -65,10 +65,6 @@ class Point:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def __add__(self, other: "Point") -> "Point":
-        self._check_dim(other)
-        return Point(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
     def __sub__(self, other: "Point") -> "Point":
         self._check_dim(other)
         if not other.fits_within(self):
@@ -114,13 +110,6 @@ def check_ascending(values: Sequence[int], name: str) -> None:
         if v <= prev:
             raise ValidationError(f"{name} must be ascending, distinct and positive")
         prev = v
-
-
-def point_sum(points: Iterable[Point], dim: int) -> Point:
-    total = Point.zero(dim)
-    for p in points:
-        total = total + p
-    return total
 
 
 @dataclass(frozen=True)

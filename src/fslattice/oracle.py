@@ -87,7 +87,9 @@ def fs_membership(X: GeneratorSet, target: Point) -> Optional[Representation]:
 class ReachableSet(Set):
     """FS(X) in a box, a read-only set of Points: bit i of one int is the cell of
     [0, box.hi] with mixed-radix index i (axis 0 fastest).  Points are built only
-    while iterating; the stages witnesses need are rebuilt on the first call.
+    while iterating.  Witnesses come from each cell's first-reach index k (the
+    cell was first reached by including generator k - 1; 0 for the origin),
+    kept bit-sliced: bit j of k is bit i of plane j, in one bytes object per plane.
     """
 
     def __init__(self, box: Box, generators: GeneratorSet):
@@ -99,9 +101,20 @@ class ReachableSet(Set):
         # per axis, one bit at the start of every block of the axes up to it
         self._repeats = [((1 << cells) - 1) // ((1 << s) - 1) for s in self._strides[1:]]
         self._offsets = [self._index(g) for g in generators]
-        reach = reduce(self._include, generators, 1)  # bit 0, the origin, is the empty sum
+        planes = [0] * len(generators).bit_length()
+        reach = 1  # bit 0, the origin, is the empty sum
+        for k, g in enumerate(generators, 1):
+            nxt = self._include(reach, g)
+            new = nxt ^ reach  # reach is a subset of nxt
+            for j in range(k.bit_length()):
+                if k >> j & 1:
+                    planes[j] |= new
+            reach = nxt
         self._bits = reach & self._box_mask(box.lo.coords, box.hi.coords)
-        self._stages: Optional[list[bytes]] = None  # stage k: reachable after k generators
+        size = cells // 8 + 1
+        for j, plane in enumerate(planes):
+            planes[j] = plane.to_bytes(size, "little")
+        self._planes: list[bytes] = planes[::-1]  # most significant bit first
 
     @property
     def points(self) -> "ReachableSet":
@@ -149,21 +162,20 @@ class ReachableSet(Set):
         return reach | (reach & fit) << self._index(g)
 
     def witness(self, p: Point) -> Representation:
-        """One representation of a reachable point, rebuilt from the DP stages."""
+        """One representation of a reachable point: include the generator that
+        first reached the cell, step back by its offset, and repeat to the origin."""
         if p not in self:
             raise ValidationError(f"{p} is not reachable inside the box")
-        if self._stages is None:
-            size = self._strides[-1] // 8 + 1
-            stages = accumulate(self.generators, self._include, initial=1)
-            self._stages = [reach.to_bytes(size, "little") for reach in stages]
         members: list[Point] = []
         i = self._index(p)
-        for k in range(len(self.generators) - 1, -1, -1):
-            if not self._stages[k][i >> 3] >> (i & 7) & 1:
-                members.append(self.generators.elements[k])
-                i -= self._offsets[k]
-        assert i == 0
-        return Representation(tuple(sorted(members)), p)
+        while True:
+            k = 0  # first-reach index of cell i
+            for plane in self._planes:
+                k = k << 1 | plane[i >> 3] >> (i & 7) & 1
+            if not k:
+                return Representation(tuple(sorted(members)), p)
+            members.append(self.generators.elements[k - 1])
+            i -= self._offsets[k - 1]
 
 
 # the set bit positions of each byte value, for iterating a bitset bytewise

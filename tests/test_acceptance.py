@@ -7,6 +7,7 @@ per-criterion runtime limits.
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +48,21 @@ def test_empty_square_output_is_pinned(capsys):
         '{\n  "certificate_ok": true,\n  "side": 2,\n'
         '  "x0": [\n    3,\n    4,\n    5\n  ],\n  "y0": [\n    0\n  ]\n}\n'
     )
+
+
+@pytest.mark.parametrize("mode, patches", [("traced", 31), ("memory", 5)])
+def test_benchmark_tracer_finds_every_name(monkeypatch, mode, patches):
+    # benchmarks/run.py --trace 1 wraps these package names; a rename must fail here too
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import tracing
+
+    tracer = tracing.Tracer(run_id=f"test-{mode}")
+    tracing.instrument(tracer, mode)
+    planned = [(owner, attr, original) for owner, attr, original, _ in tracer._patches]
+    assert len(planned) == patches
+    tracer.install()
+    try:
+        assert all(vars(owner)[attr] is not original for owner, attr, original in planned)
+    finally:
+        tracer.uninstall()
+    assert all(vars(owner)[attr] is original for owner, attr, original in planned)

@@ -317,6 +317,8 @@ class TestExitCodes:
             (["dyadic", "empty-square", "--D", "3"], "8"),
             (["cone", "verify", "--spec", "cone.json", "--max", "100000"], None),
             (["cone", "verify", "--spec", "cone.json", "--max", "3"], "15"),
+            (["cone", "build", "--v", "1,2;2,1", "--depth", "100000"], None),
+            (["cone", "decompose", "--spec", "cone-deep.json", "--point", "3,3"], None),
             (["gap", "five-squares", "--lo", "1", "--hi", "1000000000"], None),
             (["gap", "five-squares", "--lo", "1", "--hi", "9"], "8"),
         ],
@@ -327,13 +329,16 @@ class TestExitCodes:
             "empty-square-small-cap",
             "cone-verify",
             "cone-verify-small-cap",
+            "cone-build-depth",
+            "cone-decompose-spec-depth",
             "five-squares",
             "five-squares-small-cap",
         ],
     )
     def test_point_count_above_cap(self, capsys, monkeypatch, tmp_path, argv, env):
-        spec = write_json(tmp_path / "cone.json", {"v": [[1, 2], [2, 1]]})
-        argv = [spec if a == "cone.json" else a for a in argv]
+        write_json(tmp_path / "cone.json", {"v": [[1, 2], [2, 1]]})
+        write_json(tmp_path / "cone-deep.json", {"v": [[1, 2], [2, 1]], "depth": 100000})
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         if env is not None:
             monkeypatch.setenv("FSLATTICE_CAP", env)
         code, out, err = run(capsys, argv)
@@ -368,16 +373,20 @@ json_values = st.recursive(
     max_leaves=12,
 )
 generator_lists = st.lists(st.lists(st.integers(0, 6), min_size=2, max_size=2), max_size=8)
+generator_files = st.one_of(
+    generator_lists.map(json.dumps), json_values.map(json.dumps), st.text(max_size=12)
+)
 targets = st.text(max_size=8) | st.lists(st.integers(-1, 2**72), max_size=3).map(
     lambda cs: ",".join(map(str, cs))
 )
+boxes = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 6), st.integers(0, 6)),
+    st.lists(st.integers(-1, 6), max_size=6),
+).map(lambda cs: ",".join(map(str, cs))) | st.text(max_size=8)
 
 
 @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    st.one_of(generator_lists.map(json.dumps), json_values.map(json.dumps), st.text(max_size=12)),
-    targets,
-)
+@given(generator_files, targets)
 def test_fs_check_fuzz(capsys, tmp_path, generators, target):
     path = tmp_path / "fuzz.json"
     path.write_text(generators)
@@ -390,3 +399,32 @@ def test_fs_check_fuzz(capsys, tmp_path, generators, target):
             assert validate_representation(Representation.from_json(payload["representation"]))
     else:
         assert out == "" and err.count("\n") == 1
+
+
+@settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    # mostly well-formed inputs, so the payload checks run too
+    generator_lists.map(json.dumps) | generator_files,
+    boxes,
+    st.sampled_from([None, "64", "16", "1", "x"]),
+)
+def test_fs_enumerate_fuzz(capsys, monkeypatch, tmp_path, generators, box, cap):
+    path = tmp_path / "fuzz.json"
+    path.write_text(generators)
+    if cap is None:
+        monkeypatch.delenv("FSLATTICE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("FSLATTICE_CAP", cap)
+    code, out, err = run(capsys, ["fs", "enumerate", "--generators", str(path), "--box", box])
+    assert code in {0, 1, 2, 64}
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == "" and err.count("\n") == 1
+        return
+    payload = json.loads(out)
+    gens = {tuple(g) for g in json.loads(generators)}
+    assert payload["count"] == len(payload["points"]) == len(payload["witnesses"])
+    for p in payload["points"]:
+        members = payload["witnesses"]["(" + ",".join(map(str, p)) + ")"]
+        assert all(tuple(m) in gens for m in members)
+        assert validate_representation(Representation.from_json({"target": p, "members": members}))

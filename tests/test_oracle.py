@@ -11,10 +11,10 @@ from fslattice.core import (
     Point,
     ResourceLimitError,
     ValidationError,
-    point_sum,
     validate_representation,
 )
 from fslattice.oracle import (
+    ReachableSet,
     fs_enumerate,
     fs_membership,
     trm,
@@ -22,12 +22,17 @@ from fslattice.oracle import (
 )
 
 
+def coord_sum(points, dim: int) -> tuple[int, ...]:
+    """Componentwise sum of the points' coordinate tuples; all zeros for none."""
+    return tuple(sum(col) for col in zip((0,) * dim, *(p.coords for p in points)))
+
+
 def brute_member(X: GeneratorSet, target: Point) -> bool:
     """Literal 2^|X| subset enumeration, the ground truth for the ground truth."""
     elems = list(X)
     for r in range(len(elems) + 1):
         for combo in combinations(elems, r):
-            if point_sum(combo, target.dim) == target:
+            if coord_sum(combo, target.dim) == target.coords:
                 return True
     return False
 
@@ -158,9 +163,9 @@ def _coords(dim: int, bound: int):
 
 
 @st.composite
-def sets_and_boxes(draw):
-    """Generator sets in 1 to 4 dimensions with a box of at most 81 cells."""
-    dim = draw(st.integers(min_value=1, max_value=4))
+def sets_and_boxes(draw, max_dim: int = 4):
+    """Generator sets in 1 to max_dim (at most 4) dimensions with a box of at most 81 cells."""
+    dim = draw(st.integers(min_value=1, max_value=max_dim))
     bound = {1: 12, 2: 6, 3: 3, 4: 2}[dim]
     coords = draw(st.lists(_coords(dim, bound).filter(any), max_size=7, unique=True))
     hi = draw(_coords(dim, bound))
@@ -180,7 +185,7 @@ class TestMembershipSearch:
             (
                 bits
                 for bits in product((0, 1), repeat=len(X))
-                if point_sum([g for g, b in zip(X, bits) if b], target.dim) == target
+                if coord_sum([g for g, b in zip(X, bits) if b], target.dim) == target.coords
             ),
             None,
         )
@@ -227,6 +232,25 @@ class TestReachableSet:
             assert rep.target == p
             assert validate_representation(rep)
             assert all(m in X for m in rep.members)
+
+    @settings(deadline=None, max_examples=60)
+    @given(sets_and_boxes(max_dim=3))
+    def test_witness_is_the_stage_walk(self, case):
+        X, box = case
+        reach = fs_enumerate(X, box)
+        # stage k: the sums of the first k canonical generators inside [0, hi]
+        full = Box(Point.zero(box.dim), box.hi)
+        stages = [fs_enumerate(GeneratorSet(X.elements[:k]), full) for k in range(len(X))]
+        for p in reach:
+            # walk back from the last generator, taking one exactly when the
+            # remainder is missing from the stage before it
+            members, rest = [], p.coords
+            for k in range(len(X) - 1, -1, -1):
+                if Point(rest) not in stages[k]:
+                    members.append(X.elements[k])
+                    rest = tuple(a - b for a, b in zip(rest, X.elements[k].coords))
+            assert not any(rest)
+            assert reach.witness(p).members == tuple(sorted(members))
 
     def test_points_behave_as_a_read_only_set(self):
         X = GeneratorSet.of([Point((1, 0)), Point((0, 1)), Point((2, 2))])
@@ -300,6 +324,30 @@ class TestReachableSet:
         # 2047 needs all eleven powers 1..1024, so the height is at least 11
         assert Point((2047, 11)) in reach
         assert Point((2047, 10)) not in reach
+
+    def test_witness_memory_is_bounded(self, monkeypatch):
+        # the first witness adds O(cells * log n) bits and reruns no DP step
+        hi = Point((2047, 2047))
+        gens = dyadic.dyadic_generators(hi)
+        include = ReachableSet._include
+        steps = []
+
+        def counted(self, reach, g):
+            steps.append(g)
+            return include(self, reach, g)
+
+        monkeypatch.setattr(ReachableSet, "_include", counted)
+        tracemalloc.start()
+        try:
+            reach = fs_enumerate(gens, Box(Point((1, 1)), hi))
+            rep = reach.witness(Point((2047, 11)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000_000
+        assert steps == list(reach.generators)
+        # 2047 = 1 + 2 + ... + 1024, each power once with second coordinate 1
+        assert [m.coords for m in rep.members] == [(1 << i, 1) for i in range(11)]
 
 
 class TestTrm:
