@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -100,6 +101,7 @@ def _parse_cone_vectors(text: str) -> cone.ConeSpec:
     return cone.ConeSpec(points)
 
 
+@functools.cache  # built on the first main() call, then reused
 def build_parser() -> _Parser:
     parser = _Parser(prog="fslattice", description=__doc__)
     parser.add_argument("--config", help="optional JSON config file")
@@ -181,7 +183,7 @@ def _cmd_fs(args, cfg: RunConfig) -> int:
     if args.command == "check":
         X = _load_generators(args.generators)
         target = parse_point(args.target)
-        rep = fs_membership(X, target)
+        rep = fs_membership(X, target, cell_cap=cfg.cell_cap)
         _emit(
             {
                 "target": target.to_json(),

@@ -188,9 +188,10 @@ def dense_square_count(R: int) -> DenseSquareReport:
     enumeration = 0
     for r in range(1 << R):
         lows = bit_positions(r)
+        _validate_firsts(R, r, lows)
         k = r.bit_count() + 1  # the corner term plus one term per low bit
         for f in range(_max_doubling(R, k) + 1):
-            _validate_horizontal(R, r, lows, f, k << f)
+            _validate_seconds(R, lows, f, k << f)
             enumeration += 1
 
     if enumeration != formula:
@@ -211,18 +212,27 @@ def dense_square_count(R: int) -> DenseSquareReport:
     )
 
 
-def _validate_horizontal(R: int, r: int, lows: list[int], f: int, m: int) -> None:
-    """Check the firsts 2^(2^(R+1)), 2^c (c in lows) and the seconds 2^f with ints."""
+def _validate_firsts(R: int, r: int, lows: list[int]) -> None:
+    """Check with ints that the firsts 2^(2^(R+1)) and 2^c (c in lows) sum to
+    n = 2^(2^(R+1)) + r inside the square; they do not depend on f."""
     corner_bit = 1 << (R + 1)  # the corner's one bit; n = 2^corner_bit + r is never formed
     distinct = len(set(lows)) == len(lows)
     if not distinct or sum(1 << c for c in lows) != r or r.bit_length() > corner_bit:
         raise AssertionError("first coordinates do not sum to n")
+    if not 0 <= r < 1 << R:
+        raise AssertionError("point escapes the dense square")
+
+
+def _validate_seconds(R: int, lows: list[int], f: int, m: int) -> None:
+    """Check with ints that the len(lows) + 1 seconds 2^f sum to m, and that
+    (n, m) lies in E and in the square."""
+    corner_bit = 1 << (R + 1)
     if (len(lows) + 1) << f != m:
         raise AssertionError("second coordinates do not sum to m")
     # in_exceptional(n, m) for m < n: 2^m <= n iff m < n.bit_length() == corner_bit + 1
     if m > corner_bit:
         raise AssertionError("dense-square point unexpectedly outside E")
-    if not (0 <= r < 1 << R and m <= 1 << R):
+    if m > 1 << R:
         raise AssertionError("point escapes the dense square")
 
 

@@ -11,7 +11,7 @@ import operator
 from collections.abc import Set
 from functools import reduce
 from itertools import accumulate
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Box,
@@ -26,24 +26,41 @@ from .core import (
 DEFAULT_CELL_CAP = 2**26
 
 
-def fs_membership(X: GeneratorSet, target: Point) -> Optional[Representation]:
-    """Decide target in FS(X) by exhaustive search with memoized failures.
+def fs_membership(
+    X: GeneratorSet, target: Point, cell_cap: int = DEFAULT_CELL_CAP
+) -> Optional[Representation]:
+    """Decide target in FS(X), with the witness an exclude-first search finds.
 
-    Deterministic witness: generators are tried in canonical order and each is
-    excluded before it is included, so the returned subset is the one an
-    exclude-first depth-first search finds.
-
-    Every vector searched is <= target, so each is packed into one int with a
-    field of w bits per axis whose top (guard) bit stays clear; a <= b is then
-    one subtraction that cannot borrow across fields.  The search keeps an
-    explicit stack, so its depth is not bounded by the recursion limit.
+    That search tries generators in canonical order and excludes each before
+    including it.  Within the cap, one include-or-not DP over [0, target] adds
+    the generators in reverse canonical order, so after j of them its set is
+    FS(gens[n-j:]).  The search skips generator i exactly while the remainder
+    is still in FS(gens[i+1:]), so it includes the generator whose stage first
+    reached the remainder: the one `ReachableSet.witness` takes.  A target box
+    beyond the cap goes to the search itself, bounded by cell_cap nodes.
     """
     if len(X) and X.dim != target.dim:
         raise ValidationError("generator/target dimension mismatch")
     if target.is_zero:
         return Representation((), target)
     gens = [g for g in X if g.fits_within(target)]
+    if _cells(target) > cell_cap:
+        return _search_membership(gens, target, cell_cap)
+    reach = ReachableSet(Box(Point.zero(target.dim), target), gens[::-1])
+    return reach.witness(target) if target in reach else None
 
+
+def _search_membership(
+    gens: Sequence[Point], target: Point, node_cap: int
+) -> Optional[Representation]:
+    """Exclude-first search over gens (canonical order, each <= target) with
+    memoized failures; more than node_cap pushes raise ResourceLimitError.
+
+    Every vector searched is <= target, so each is packed into one int with a
+    field of w bits per axis whose top (guard) bit stays clear; a <= b is then
+    one subtraction that cannot borrow across fields.  The search keeps an
+    explicit stack, so its depth is not bounded by the recursion limit.
+    """
     w = max(target.coords).bit_length() + 1
     guards = sum(1 << (w * j + w - 1) for j in range(target.dim))
 
@@ -62,12 +79,16 @@ def fs_membership(X: GeneratorSet, target: Point) -> Optional[Representation]:
 
     failed: list[set[int]] = [set() for _ in range(n)]
     stack: list[list] = []  # frames [i, rem, included] of the open calls
+    nodes = 0
     i, rem = 0, pack(target.coords)
     while True:
         if rem == 0:
             members = tuple(gens[f[0]] for f in stack if f[2])
             return Representation(members, target)
         if i < n and ((suffix[i] | guards) - rem) & guards == guards and rem not in failed[i]:
+            nodes += 1
+            if nodes > node_cap:
+                raise ResourceLimitError(f"membership search needs over {node_cap} nodes, the cap")
             stack.append([i, rem, False])
             i += 1  # exclude first
             continue
@@ -84,34 +105,53 @@ def fs_membership(X: GeneratorSet, target: Point) -> Optional[Representation]:
             return None
 
 
+def _cells(hi: Point) -> int:
+    """The number of cells of the box [0, hi]."""
+    return reduce(operator.mul, (c + 1 for c in hi.coords), 1)
+
+
+def _repeat_mask(period: int, cells: int) -> int:
+    """One bit at every multiple of period below cells, for a period dividing
+    cells: ((1 << cells) - 1) // ((1 << period) - 1), built by doubling in
+    linear time instead of by a quadratic big-int division."""
+    mask, width = 1, period
+    while width < cells:
+        mask |= mask << width
+        width <<= 1
+    return mask & ((1 << cells) - 1)
+
+
 class ReachableSet(Set):
-    """FS(X) in a box, a read-only set of Points: bit i of one int is the cell of
-    [0, box.hi] with mixed-radix index i (axis 0 fastest).  Points are built only
-    while iterating.  Witnesses come from each cell's first-reach index k (the
+    """FS(generators) in a box, a read-only set of Points: bit i of one bytes
+    object is the cell of [0, box.hi] with mixed-radix index i (axis 0 fastest).
+    Points are built only while iterating.  The generators are added in the
+    order given.  Witnesses come from each cell's first-reach index k (the
     cell was first reached by including generator k - 1; 0 for the origin),
     kept bit-sliced: bit j of k is bit i of plane j, in one bytes object per plane.
     """
 
-    def __init__(self, box: Box, generators: GeneratorSet):
+    def __init__(self, box: Box, generators: Iterable[Point]):
         self.box = box
-        self.generators = generators
+        self.generators = tuple(generators)
         # place values of the axes; the last one is the number of cells
         self._strides = list(accumulate((h + 1 for h in box.hi.coords), operator.mul, initial=1))
         cells = self._strides[-1]
         # per axis, one bit at the start of every block of the axes up to it
-        self._repeats = [((1 << cells) - 1) // ((1 << s) - 1) for s in self._strides[1:]]
-        self._offsets = [self._index(g) for g in generators]
-        planes = [0] * len(generators).bit_length()
+        self._repeats = [_repeat_mask(s, cells) for s in self._strides[1:]]
+        self._offsets = [self._index(g) for g in self.generators]
+        planes = [0] * len(self.generators).bit_length()
         reach = 1  # bit 0, the origin, is the empty sum
-        for k, g in enumerate(generators, 1):
+        for k, g in enumerate(self.generators, 1):
             nxt = self._include(reach, g)
             new = nxt ^ reach  # reach is a subset of nxt
             for j in range(k.bit_length()):
                 if k >> j & 1:
                     planes[j] |= new
             reach = nxt
-        self._bits = reach & self._box_mask(box.lo.coords, box.hi.coords)
+        bits = reach & self._box_mask(box.lo.coords, box.hi.coords)
+        self._len = bits.bit_count()
         size = cells // 8 + 1
+        self._bytes = bits.to_bytes(size, "little")  # one bytes view for every bit test
         for j, plane in enumerate(planes):
             planes[j] = plane.to_bytes(size, "little")
         self._planes: list[bytes] = planes[::-1]  # most significant bit first
@@ -123,17 +163,17 @@ class ReachableSet(Set):
     _from_iterable = staticmethod(frozenset)  # so `&`, `|`, `-` and `^` give frozensets
 
     def __len__(self) -> int:
-        return self._bits.bit_count()
+        return self._len
 
     def __contains__(self, p: object) -> bool:
         fits = isinstance(p, Point) and p.dim == self.box.dim and self.box.contains(p)
-        return fits and bool(self._bits >> self._index(p) & 1)
+        return fits and bool(_bit(self._bytes, self._index(p)))
 
     def __iter__(self) -> Iterator[Point]:
         # walk the bytes: clearing one bit at a time would copy the int per point;
         # decode each byte's first cell once and step along axis 0 from there
         width = self._strides[1]
-        for base, byte in enumerate(self._bits.to_bytes(self._strides[-1] // 8 + 1, "little")):
+        for base, byte in enumerate(self._bytes):
             if byte:
                 first = self._coords(8 * base)
                 x0, rest = first[0], first[1:]
@@ -171,11 +211,16 @@ class ReachableSet(Set):
         while True:
             k = 0  # first-reach index of cell i
             for plane in self._planes:
-                k = k << 1 | plane[i >> 3] >> (i & 7) & 1
+                k = k << 1 | _bit(plane, i)
             if not k:
                 return Representation(tuple(sorted(members)), p)
-            members.append(self.generators.elements[k - 1])
+            members.append(self.generators[k - 1])
             i -= self._offsets[k - 1]
+
+
+def _bit(view: bytes, i: int) -> int:
+    """Bit i of a little-endian bytes view of a bitset."""
+    return view[i >> 3] >> (i & 7) & 1
 
 
 # the set bit positions of each byte value, for iterating a bitset bytewise
@@ -189,7 +234,7 @@ def fs_enumerate(X: GeneratorSet, box: Box, cell_cap: int = DEFAULT_CELL_CAP) ->
     monotone, so nothing outside that domain can contribute), one generator at
     a time: include it or not.
     """
-    cells = reduce(operator.mul, (c + 1 for c in box.hi.coords), 1)
+    cells = _cells(box.hi)
     if cells > cell_cap:
         raise ResourceLimitError(
             f"enumeration domain has {cells} cells, above the cap of {cell_cap}"

@@ -208,6 +208,14 @@ class TestExitCodes:
         assert code == 64
         assert "usage error" in err
 
+    def test_parser_is_reused_after_a_usage_error(self, capsys, gens_file):
+        check = ["fs", "check", "--generators", gens_file, "--target", "5,3"]
+        first = run(capsys, check)
+        assert run(capsys, ["fs", "check", "--no-such-flag"])[0] == 64
+        second = run(capsys, check)
+        assert first[0] == 0
+        assert first == second  # same exit code, stdout bytes and stderr
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, ["fs", "check", "--generators", "/no/such.json", "--target", "1,1"])
         assert code == 1
@@ -321,6 +329,7 @@ class TestExitCodes:
             (["cone", "decompose", "--spec", "cone-deep.json", "--point", "3,3"], None),
             (["gap", "five-squares", "--lo", "1", "--hi", "1000000000"], None),
             (["gap", "five-squares", "--lo", "1", "--hi", "9"], "8"),
+            (["fs", "check", "--generators", "line.json", "--target", "300,4"], "1000"),
         ],
         ids=[
             "dense-square",
@@ -333,11 +342,14 @@ class TestExitCodes:
             "cone-decompose-spec-depth",
             "five-squares",
             "five-squares-small-cap",
+            "fs-check-search-nodes",
         ],
     )
     def test_point_count_above_cap(self, capsys, monkeypatch, tmp_path, argv, env):
         write_json(tmp_path / "cone.json", {"v": [[1, 2], [2, 1]]})
         write_json(tmp_path / "cone-deep.json", {"v": [[1, 2], [2, 1]], "depth": 100000})
+        # 1,505 target cells, above the cap, so the search runs: it needs 4,768 nodes
+        write_json(tmp_path / "line.json", [[i, 1] for i in range(1, 41)])
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         if env is not None:
             monkeypatch.setenv("FSLATTICE_CAP", env)

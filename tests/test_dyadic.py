@@ -193,7 +193,8 @@ class TestDenseSquare:
 
     def test_valid_point_passes(self):
         # R = 3: n = 2^16 + 0b101, three firsts, seconds 2^1 each
-        dyadic._validate_horizontal(3, 5, [0, 2], 1, 6)
+        dyadic._validate_firsts(3, 5, [0, 2])
+        dyadic._validate_seconds(3, [0, 2], 1, 6)
 
     @pytest.mark.parametrize(
         "r, lows, f, m, message",
@@ -209,15 +210,22 @@ class TestDenseSquare:
              "m-above-cap", "m-above-corner-bit"],
     )
     def test_each_check_can_fire(self, r, lows, f, m, message):
+        # the census checks the firsts once per r, then the seconds once per f
         with pytest.raises(AssertionError, match=message):
-            dyadic._validate_horizontal(3, r, lows, f, m)
+            dyadic._validate_firsts(3, r, lows)
+            dyadic._validate_seconds(3, lows, f, m)
 
     def test_every_point_is_validated(self, monkeypatch):
-        seen = []
-        monkeypatch.setattr(dyadic, "_validate_horizontal", lambda *args: seen.append(args))
+        firsts, points = [], []
+        monkeypatch.setattr(dyadic, "_validate_firsts", lambda R, r, lows: firsts.append(r))
+        monkeypatch.setattr(
+            dyadic, "_validate_seconds", lambda R, lows, f, m: points.append((firsts[-1], m))
+        )
         rep = dyadic.dense_square_count(6)
-        # one call per point, and the points (r, m) are pairwise distinct
-        assert len(seen) == len({(r, m) for _, r, _, _, m in seen}) == rep.exact_count
+        # the firsts of every r once; the seconds once per point, and the
+        # points (r, m) are pairwise distinct
+        assert firsts == list(range(1 << 6))
+        assert len(points) == len(set(points)) == rep.exact_count
 
 
 class TestExceptionalMap:

@@ -14,7 +14,10 @@ from fslattice.core import (
     validate_representation,
 )
 from fslattice.oracle import (
+    DEFAULT_CELL_CAP,
     ReachableSet,
+    _repeat_mask,
+    _search_membership,
     fs_enumerate,
     fs_membership,
     trm,
@@ -35,6 +38,11 @@ def brute_member(X: GeneratorSet, target: Point) -> bool:
             if coord_sum(combo, target.dim) == target.coords:
                 return True
     return False
+
+
+def search(X: GeneratorSet, target: Point, node_cap: int = DEFAULT_CELL_CAP):
+    """The exclude-first search alone, without the DP that fs_membership runs within the cap."""
+    return _search_membership([g for g in X if g.fits_within(target)], target, node_cap)
 
 
 class TestFsMembership:
@@ -208,9 +216,47 @@ class TestMembershipSearch:
             assert (rep is not None) == brute_member(X, Point(t))
             assert rep is None or validate_representation(rep)
 
+    @settings(deadline=None, max_examples=150)
+    @given(sets_and_boxes(max_dim=3))
+    def test_dp_agrees_with_search_and_literal_enumeration(self, case):
+        X, box = case
+        for target in (box.hi, box.lo):
+            rep = fs_membership(X, target)
+            ref = search(X, target)
+            assert (rep is not None) == (ref is not None) == brute_member(X, target)
+            if rep is not None:
+                assert rep.members == ref.members
+                assert rep.target == target and validate_representation(rep)
+
+    def test_dyadic_corner_gets_a_valid_witness(self):
+        # 121 generators and 4.2M cells: the search alone ran over a minute on a 2-vCPU host
+        hi = Point((2047, 2047))
+        rep = fs_membership(dyadic.dyadic_generators(hi), hi)
+        assert rep is not None and rep.target == hi
+        assert validate_representation(rep)
+        assert all(m in dyadic.dyadic_generators(hi) for m in rep.members)
+
+    def test_search_beyond_the_cap_is_node_bounded(self):
+        X = GeneratorSet.of(Point((i, 1)) for i in range(1, 41))
+        target = Point((300, 4))  # 1,505 cells; 4 of the generators sum to at most 154
+        assert fs_membership(X, target) is None
+        assert search(X, target) is None
+        with pytest.raises(ResourceLimitError, match="1000 nodes"):
+            fs_membership(X, target, cell_cap=1000)
+        # beyond the cap, but within the node budget: the search answers
+        rep = fs_membership(X, Point((79, 2)), cell_cap=100)
+        assert rep is not None and rep.members == (Point((39, 1)), Point((40, 1)))
+
     def test_deep_search_has_no_recursion_limit(self):
         X = GeneratorSet.of(Point((i, 1)) for i in range(1, 1501))
         rep = fs_membership(X, Point((2999, 2)))
+        assert rep is not None
+        assert rep.members == (Point((1499, 1)), Point((1500, 1)))
+
+    def test_deep_search_alone_has_no_recursion_limit(self):
+        # the target box is within the cap, so fs_membership runs the DP; ask the search too
+        X = GeneratorSet.of(Point((i, 1)) for i in range(1, 1501))
+        rep = search(X, Point((2999, 2)))
         assert rep is not None
         assert rep.members == (Point((1499, 1)), Point((1500, 1)))
 
@@ -224,7 +270,7 @@ class TestReachableSet:
         # one step past the box on every axis, so outside cells are asked too
         beyond = Box(Point.zero(box.dim), Point(tuple(h + 1 for h in box.hi.coords)))
         for p in beyond.points_lex():
-            expected = box.contains(p) and fs_membership(X, p) is not None
+            expected = box.contains(p) and search(X, p) is not None
             assert (p in reach) == expected
         assert len(reach) == sum(1 for _ in reach)
         for p in reach:
@@ -348,6 +394,12 @@ class TestReachableSet:
         assert steps == list(reach.generators)
         # 2047 = 1 + 2 + ... + 1024, each power once with second coordinate 1
         assert [m.coords for m in rep.members] == [(1 << i, 1) for i in range(11)]
+
+    @pytest.mark.parametrize(
+        "period, cells", [(1, 1), (1, 9), (3, 12), (5, 5), (7, 7 * 64), (64, 8000)]
+    )
+    def test_repeat_mask_is_the_division_formula(self, period, cells):
+        assert _repeat_mask(period, cells) == ((1 << cells) - 1) // ((1 << period) - 1)
 
 
 class TestTrm:
