@@ -44,6 +44,9 @@ def fs_membership(
     if target.is_zero:
         return Representation((), target)
     gens = [g for g in X if g.fits_within(target)]
+    # a subset sums to at most the total of gens on each axis: a target past it needs no DP
+    if any(sum(g.coords[j] for g in gens) < t for j, t in enumerate(target.coords)):
+        return None
     if _cells(target) > cell_cap:
         return _search_membership(gens, target, cell_cap)
     reach = ReachableSet(Box(Point.zero(target.dim), target), gens[::-1])

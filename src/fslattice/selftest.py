@@ -1,15 +1,18 @@
 """Acceptance suite: every headline guarantee checked at desk scale.
 
 Each criterion is a pure function of (seed, cell_cap) returning a result whose
-JSON form is deterministic; the determinism criterion re-runs the whole batch
-and compares bytes.
+JSON form is deterministic; the determinism criterion runs criteria 1-11 again,
+in process and in a second interpreter with a different PYTHONHASHSEED, and
+compares bytes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -308,11 +311,49 @@ def crit_trm_bound(seed: int, cell_cap: int) -> dict:
     return {"passed": not violations, "details": {"max_trm": max(table), "violations": violations}}
 
 
+# run by crit_determinism's child interpreter: argv is seed, cell_cap and the
+# directory holding this package, which goes first on sys.path
+_CHILD_SCRIPT = """\
+import sys
+sys.path.insert(0, sys.argv[3])
+from fslattice.selftest import payload_bytes
+sys.stdout.buffer.write(payload_bytes(int(sys.argv[1]), int(sys.argv[2])))
+"""
+
+
+def payload_bytes(seed: int, cell_cap: int) -> bytes:
+    """The sorted-key JSON payload of criteria 1-11, the bytes criterion 12 compares."""
+    payload = payload_of(seed, run_criteria(seed, cell_cap, ids=range(1, 12)))
+    return json.dumps(payload, sort_keys=True).encode()
+
+
 def crit_determinism(seed: int, cell_cap: int) -> dict:
-    first = payload_of(seed, run_criteria(seed, cell_cap, ids=range(1, 12)))
-    second = payload_of(seed, run_criteria(seed, cell_cap, ids=range(1, 12)))
-    a = json.dumps(first, sort_keys=True).encode()
-    b = json.dumps(second, sort_keys=True).encode()
+    """Criteria 1-11 give the same bytes in this process and in one child
+    interpreter started with another PYTHONHASHSEED, so iteration order that
+    follows string hashing shows too.  The child runs while this process
+    computes its own bytes; a child that cannot start or exits non-zero fails
+    the criterion."""
+    import subprocess  # here, not at the top: `fslattice.cli` imports this module
+
+    own = os.environ.get("PYTHONHASHSEED")
+    env = {**os.environ, "PYTHONHASHSEED": "2" if own == "1" else "1"}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    argv = [sys.executable, "-c", _CHILD_SCRIPT, str(seed), str(cell_cap), src]
+    try:
+        child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    except OSError:
+        child = None
+    try:
+        a = payload_bytes(seed, cell_cap)
+    except BaseException:  # stop the child, then re-raise
+        if child is not None:
+            child.kill()
+            child.communicate()
+        raise
+    b = None
+    if child is not None:
+        out, _ = child.communicate()  # stderr is read and dropped, never echoed
+        b = out if child.returncode == 0 else None
     return {
         "passed": a == b,
         "details": {"bytes": len(a), "identical": a == b},

@@ -440,3 +440,153 @@ def test_fs_enumerate_fuzz(capsys, monkeypatch, tmp_path, generators, box, cap):
         members = payload["witnesses"]["(" + ",".join(map(str, p)) + ")"]
         assert all(tuple(m) in gens for m in members)
         assert validate_representation(Representation.from_json({"target": p, "members": members}))
+
+
+# -- every other subcommand: any input exits 0, 1, 2 or 64, never with a traceback.
+# Each input is a pair (well-formed, junk) of strategies, and most cases draw
+# only well-formed inputs, so the success paths run too.  The caps are small,
+# so every case is short.
+
+
+def _joined(sep, strategy):
+    return strategy.map(lambda values: sep.join(map(str, values)))
+
+
+def _runs_criterion_12(criteria: str) -> bool:
+    """Whether `selftest --criteria` would run criterion 12, which starts a child interpreter."""
+    try:
+        return not criteria or 12 in [int(v) for v in criteria.split(",")]
+    except ValueError:
+        return False
+
+
+good_vectors = st.lists(st.lists(st.integers(1, 4), min_size=2, max_size=2), min_size=2, max_size=2)
+INPUTS = {
+    "cap": (
+        st.sampled_from(["4096", "1000", "64"]),
+        st.sampled_from(["1", "0", "x"]),
+    ),
+    "int": (
+        st.integers(0, 12).map(str),
+        st.integers(-2, 70).map(str) | st.text(max_size=4),
+    ),
+    "point": (
+        _joined(",", st.lists(st.integers(0, 40), min_size=2, max_size=2)),
+        _joined(",", st.lists(st.integers(-1, 2**72), max_size=3)) | st.text(max_size=8),
+    ),
+    "vectors": (
+        good_vectors.map(lambda vs: ";".join(",".join(map(str, v)) for v in vs)),
+        st.sampled_from(["1,2", "1,2;2,1;1,1", "0,1;1,0", "1,2;2,4", "1,2,3;3,2,1;1,1,2"])
+        | st.text(max_size=8),
+    ),
+    "spec": (
+        st.fixed_dictionaries({"v": good_vectors}, optional={"depth": st.integers(0, 6)}),
+        st.fixed_dictionaries(
+            {"v": st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=3)},
+            optional={"depth": st.integers(-2, 40) | json_values},
+        )
+        | json_values,
+    ),
+    "A": (
+        st.integers(8, 60).map(lambda n: list(range(1, n + 1)))
+        | st.lists(st.integers(1, 60), unique=True, min_size=2, max_size=40).map(sorted),
+        st.lists(st.integers(-2, 60), max_size=6) | json_values,
+    ),
+    "B": (
+        st.lists(st.integers(1, 6), unique=True, min_size=2, max_size=4).map(sorted),
+        st.lists(st.integers(-2, 60), max_size=6) | json_values,
+    ),
+    "box": (
+        _joined(",", st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(8, 40), st.integers(8, 40))),
+        boxes,
+    ),
+    "lengths": (
+        _joined(",", st.lists(st.integers(1, 3), min_size=1, max_size=3)),
+        _joined(",", st.lists(st.integers(-1, 4), max_size=3)) | st.text(max_size=4),
+    ),
+    "T": (st.integers(1, 6).map(str), st.integers(-2, 70).map(str) | st.text(max_size=4)),
+    "H": (
+        st.integers(8, 200).map(str),
+        st.integers(-1, 5000).map(str) | st.text(max_size=4),
+    ),
+    "lo": (st.integers(1, 2000), st.integers(-2, 2**40)),
+    "span": (st.integers(0, 40), st.integers(-2, 0)),
+    # never criterion 12, so fuzzing starts no process
+    "criteria": (
+        _joined(",", st.lists(st.sampled_from([2, 3, 5, 6, 7, 8, 9, 10, 11]), min_size=1, max_size=3)),
+        (_joined(",", st.lists(st.sampled_from([-1, 0, 1, 4, 13]), max_size=3)) | st.text(max_size=4)).filter(
+            lambda s: not _runs_criterion_12(s)
+        ),
+    ),
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, env cap, files) for one call of a subcommand other than fs; each
+    NAME.json in argv names a file holding the JSON text files[NAME]."""
+    wellformed = draw(st.integers(0, 3)) > 0
+
+    def arg(kind):
+        good, junk = INPUTS[kind]
+        return draw(good if wellformed else good | junk)
+
+    command = draw(st.sampled_from([
+        "cone build", "cone decompose", "cone verify",
+        "dyadic check", "dyadic map", "dyadic empty-square", "dyadic dense-square",
+        "gap build", "gap rectangle", "gap five-squares", "selftest",
+    ]))
+    argv, files = command.split(), {}
+    if command == "cone build":
+        argv += ["--v", arg("vectors"), "--depth", arg("int")]
+    elif command.startswith("cone"):
+        spec = arg("spec")
+        files["spec"] = json.dumps(spec)
+        argv += ["--spec", "spec.json"]
+        if command == "cone verify":
+            argv += ["--max", arg("int")]
+        elif wellformed:  # a point of the cone
+            (v, w), (a, b) = spec["v"], draw(st.tuples(st.integers(0, 20), st.integers(0, 20)))
+            argv += ["--point", f"{a * v[0] + b * w[0]},{a * v[1] + b * w[1]}"]
+        else:
+            argv += ["--point", arg("point")]
+    elif command == "dyadic check":
+        argv += ["--point", arg("point")]
+    elif command == "dyadic map":
+        argv += ["--box", arg("box"), "--out", "map.pgm"]
+    elif command == "dyadic empty-square":
+        argv += ["--D", arg("int")] + ["--verify"] * draw(st.booleans())
+    elif command == "dyadic dense-square":
+        argv += ["--R", arg("int")]
+    elif command == "gap five-squares":
+        lo = arg("lo")
+        argv += ["--lo", str(lo), "--hi", str(lo + arg("span"))]
+    elif command.startswith("gap"):
+        files["a"], files["b"] = json.dumps(arg("A")), json.dumps(arg("B"))
+        argv += ["--A", "a.json", "--B", "b.json"]
+        if command == "gap build":
+            argv += ["--L", arg("lengths")]
+        else:
+            argv += ["--T", arg("T"), "--H", arg("H")]
+    else:
+        argv += ["--criteria", arg("criteria"), "--seed", arg("int")]
+    return argv, arg("cap"), files
+
+
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_calls())
+def test_other_subcommands_fuzz(capsys, monkeypatch, tmp_path, call):
+    def no_child(*args, **kwargs):
+        raise AssertionError("the fuzzed call started a process")
+
+    monkeypatch.setattr(subprocess, "Popen", no_child)
+    argv, cap, files = call
+    monkeypatch.setenv("FSLATTICE_CAP", cap)
+    for name, text in files.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    argv = [str(tmp_path / a) if a.endswith((".json", ".pgm")) else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code in {0, 1, 2, 64}
+    assert "Traceback" not in err
+    if code != 0:
+        assert out == "" and err.count("\n") == 1

@@ -1,10 +1,11 @@
+import random
 import tracemalloc
 from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fslattice import cone, dyadic
+from fslattice import cone, dyadic, oracle
 from fslattice.core import (
     Box,
     GeneratorSet,
@@ -246,6 +247,32 @@ class TestMembershipSearch:
         # beyond the cap, but within the node budget: the search answers
         rep = fs_membership(X, Point((79, 2)), cell_cap=100)
         assert rep is not None and rep.members == (Point((39, 1)), Point((40, 1)))
+
+    def test_shortfall_builds_no_dp(self, monkeypatch):
+        def no_dp(*args):
+            raise AssertionError("the DP ran")
+
+        monkeypatch.setattr(oracle, "ReachableSet", no_dp)
+        rng = random.Random(0)
+        X = GeneratorSet.of(Point((rng.randint(1, 150), rng.randint(1, 150))) for _ in range(60))
+        assert sum(g.coords[1] for g in X) < 6000  # the y-axis falls short
+        assert fs_membership(X, Point((4000, 6000))) is None
+        assert fs_membership(GeneratorSet(()), Point((0, 1))) is None
+        with pytest.raises(AssertionError, match="the DP ran"):
+            fs_membership(X, Point((4000, 4000)))
+
+    @settings(deadline=None, max_examples=100)
+    @given(sets_and_boxes(max_dim=3), st.integers(min_value=0, max_value=2), st.integers(0, 30))
+    def test_shortfall_verdict_agrees_with_search(self, case, axis, extra):
+        X, box = case
+        # raise one axis of the target to or past the generators' total there
+        coords = list(box.hi.coords)
+        axis %= len(coords)
+        coords[axis] = sum(g.coords[axis] for g in X) + extra
+        target = Point(tuple(coords))
+        rep = fs_membership(X, target)
+        ref = search(X, target)
+        assert (None if rep is None else rep.members) == (None if ref is None else ref.members)
 
     def test_deep_search_has_no_recursion_limit(self):
         X = GeneratorSet.of(Point((i, 1)) for i in range(1, 1501))
