@@ -23,7 +23,6 @@ from .core import (
     ValidationError,
     int_array,
     parse_point,
-    validate_representation,
 )
 from .oracle import fs_enumerate, fs_membership
 from .selftest import payload_of, run_criteria
@@ -227,41 +226,32 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
         return EXIT_OK
     data = read_json(args.spec)
     spec = cone.ConeSpec.from_json(data.get("spec", data) if isinstance(data, dict) else data)
-    if "depth" in data and type(data["depth"]) is not int:  # from_json saw a dict
-        raise ValidationError(f"depth must be an integer, got {data['depth']!r}")
+    # from_json accepted data, so it is a dict
+    if "depth" in data and (type(data["depth"]) is not int or data["depth"] < 0):
+        raise ValidationError(f"depth must be a nonnegative integer, got {data['depth']!r}")
     if args.command == "decompose":
         target = parse_point(args.point)
-        depth = data.get("depth", cone.default_depth(spec, target))
-        X = _thin_generators(spec, depth, cfg)
-        X, rep = cone.decompose_auto(spec, X, target)
-        _emit({"depth": X.depth, "representation": rep.to_json()}, args.out)
+        # one build: at the spec's (or default) depth, or deeper if the point needs it
+        depth = max(
+            data.get("depth", cone.default_depth(spec, target)), cone.required_depth(spec, target)
+        )
+        rep = cone.decompose(spec, _thin_generators(spec, depth, cfg), target)
+        _emit({"depth": depth, "representation": rep.to_json()}, args.out)
         return EXIT_OK
     # verify
     limit = args.max
     _check_cap((limit + 1) ** spec.k, "cone verify window", cfg)
-    X = cone.build_thin_generators(
-        spec, cone.default_depth(spec, Point((limit,) * spec.k))
-    )
-    failing = None
-    checked = 0
-    for coords in Box(Point((0,) * spec.k), Point((limit,) * spec.k)).points_lex():
-        if coords.is_zero or not spec.in_cone(coords):
-            continue
-        checked += 1
-        X, rep = cone.decompose_auto(spec, X, coords)
-        if not validate_representation(rep):
-            failing = coords
-            break
+    _, checked, failures = cone.check_window(spec, limit)
     _emit(
         {
             "max": limit,
             "checked": checked,
-            "passed": failing is None,
-            "failing_point": failing.to_json() if failing else None,
+            "passed": not failures,
+            "failing_point": failures[0].to_json() if failures else None,
         },
         args.out,
     )
-    return EXIT_OK if failing is None else EXIT_DOMAIN
+    return EXIT_DOMAIN if failures else EXIT_OK
 
 
 def _cmd_dyadic(args, cfg: RunConfig) -> int:
@@ -305,12 +295,7 @@ def _cmd_dyadic(args, cfg: RunConfig) -> int:
             "certificate_ok": cert.all_unreachable(),
         }
         if args.verify:
-            points = dyadic.empty_square_points(cert)
-            box = Box(min(points), max(points))
-            reach = fs_enumerate(
-                dyadic.dyadic_generators(box.hi), box, cell_cap=cfg.cell_cap
-            )
-            payload["verified"] = not reach.points
+            payload["verified"] = not dyadic.empty_square_reach(cert, cfg.cell_cap)
         _emit(payload, args.out)
         return EXIT_OK
     if args.R >= cfg.cell_cap.bit_length():  # 2^R > cell_cap, without forming 2^R

@@ -6,7 +6,9 @@ plus the dyadic multiples of each v_i -- covers every integer point of the
 cone by sums of distinct elements, while growing only logarithmically.  The
 decomposition is closed form: flooring the barycentric coefficients leaves a
 residual in the seed, and the binary digits of the floors pick distinct ray
-elements.  `peel` and the cover indices keep the paper's covering lemmas.
+elements, so the ray depth a point needs (`required_depth`) is known before X
+is built.  `check_window` decomposes every cone point of a box against one X.
+`peel` and the cover indices keep the paper's covering lemmas.
 
 All membership predicates are exact: barycentric coordinates are kept as
 integer numerators over the (positive) determinant, never floats.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 from .core import (
@@ -27,6 +30,7 @@ from .core import (
     Point,
     Representation,
     ValidationError,
+    validate_representation,
 )
 
 
@@ -152,12 +156,12 @@ class ThinGeneratorSet:
     rays: tuple[tuple[Point, ...], ...]
 
     def __post_init__(self) -> None:
-        # membership set, built once; not a field, so eq and hash ignore it
-        members = frozenset(self.seed).union(*self.rays)
+        # seed plus rays, built once; not a field, so eq and hash ignore it
+        members = GeneratorSet.of(chain(self.seed, *self.rays))
         object.__setattr__(self, "_members", members)
 
     def all_elements(self) -> GeneratorSet:
-        return GeneratorSet.of(self._members)  # type: ignore[attr-defined]
+        return self._members  # type: ignore[attr-defined]
 
     def __contains__(self, p: Point) -> bool:
         return p in self._members  # type: ignore[attr-defined]
@@ -224,6 +228,21 @@ def peel(spec: ConeSpec, v: Point, layer: Optional[int] = None) -> tuple[int, Po
     raise AssertionError("unreachable: face covering always yields an index")
 
 
+def _floors(spec: ConeSpec, v: Point) -> list[int]:
+    """The floors of v's barycentric coefficients; DomainError outside the cone."""
+    nums, den = spec.coeff_numerators(v)
+    if any(x < 0 for x in nums):
+        raise DomainError(f"{v} is not in the cone")
+    return [x // den for x in nums]
+
+
+def required_depth(spec: ConeSpec, v: Point) -> int:
+    """The ray depth decompose needs for the cone point v: the top binary
+    digit of its largest floored coefficient (-1 when every floor is 0).
+    DomainError when v is outside the cone."""
+    return max(_floors(spec, v)).bit_length() - 1
+
+
 def decompose(spec: ConeSpec, X: ThinGeneratorSet, v: Point) -> Representation:
     """Express a nonzero cone point as a sum of distinct elements of X.
 
@@ -231,17 +250,15 @@ def decompose(spec: ConeSpec, X: ThinGeneratorSet, v: Point) -> Representation:
     has every coefficient in [0, 1), so it lies in the seed and is no ray
     element (each has one coefficient 2^j >= 1); the binary digits of c_l pick
     distinct ray elements 2^j v_l.  Cost O(k^2 + k log n).  A point already in
-    the seed is its own representation.
+    the seed is its own representation.  X shallower than required_depth(spec, v)
+    raises DepthError.
     """
-    nums, den = spec.coeff_numerators(v)
-    if any(x < 0 for x in nums):
-        raise DomainError(f"{v} is not in the cone")
+    counts = _floors(spec, v)
     if v.is_zero:
         raise DomainError("cannot decompose the origin")
     if v in X.seed:
         return Representation((v,), v)
 
-    counts = [x // den for x in nums]
     required = max(counts).bit_length() - 1
     if required > X.depth:
         raise DepthError(
@@ -258,15 +275,33 @@ def decompose(spec: ConeSpec, X: ThinGeneratorSet, v: Point) -> Representation:
     return Representation(tuple(sorted(members)), v)
 
 
-def decompose_auto(
-    spec: ConeSpec, X: ThinGeneratorSet, v: Point
-) -> tuple[ThinGeneratorSet, Representation]:
-    """decompose, rebuilding X once with the exact ray depth if X is too shallow."""
-    try:
-        return X, decompose(spec, X, v)
-    except DepthError as exc:
-        X = build_thin_generators(spec, exc.required_depth)
-        return X, decompose(spec, X, v)
+def check_window(spec: ConeSpec, limit: int) -> tuple[ThinGeneratorSet, int, list[Point]]:
+    """Decompose every nonzero cone point of [0, limit]^k, in lexicographic order.
+
+    X is built once, at the default depth of the corner (limit, ..., limit),
+    and that always suffices: if v_l has a nonzero coordinate i, then
+    a_l * v_l[i] <= p[i] <= limit, so floor(a_l) <= limit // m for m the
+    smallest nonzero generator coordinate, and required_depth(spec, p) <=
+    default_depth(spec, corner) - 2.  Returns X, the number of points checked,
+    and the points whose decomposition raises DepthError, fails
+    validate_representation or uses a non-member of X.
+    """
+    corner = Point((limit,) * spec.k)
+    X = build_thin_generators(spec, default_depth(spec, corner))
+    checked = 0
+    failures = []
+    for p in Box(Point.zero(spec.k), corner).points_lex():
+        if p.is_zero or not spec.in_cone(p):
+            continue
+        checked += 1
+        try:
+            rep = decompose(spec, X, p)
+        except DepthError:
+            failures.append(p)
+            continue
+        if not validate_representation(rep) or not all(m in X for m in rep.members):
+            failures.append(p)
+    return X, checked, failures
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ canonical (lexicographic) ordering fixed by GeneratorSet.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 
@@ -224,15 +225,8 @@ class Box:
 
     def points_lex(self) -> Iterator[Point]:
         """All lattice points of the box in lexicographic order."""
-
-        def rec(prefix: tuple[int, ...], i: int) -> Iterator[Point]:
-            if i == self.dim:
-                yield Point(prefix)
-                return
-            for c in range(self.lo.coords[i], self.hi.coords[i] + 1):
-                yield from rec(prefix + (c,), i + 1)
-
-        return rec((), 0)
+        axes = (range(l, h + 1) for l, h in zip(self.lo.coords, self.hi.coords))
+        return map(Point, product(*axes))
 
 
 def parse_point(text: str) -> Point:

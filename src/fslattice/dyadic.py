@@ -16,7 +16,8 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Container
 
-from .core import DomainError, GeneratorSet, Point, Representation, ValidationError
+from . import oracle
+from .core import Box, DomainError, GeneratorSet, Point, Representation, ValidationError
 
 
 def in_exceptional(a: int, b: int) -> bool:
@@ -148,6 +149,14 @@ def empty_square_points(cert: EmptySquareCertificate) -> list[Point]:
     x0 = cert.square.x0
     D = cert.square.side
     return [Point((x0 + j, 1 + k)) for j in range(1, D + 1) for k in range(1, D + 1)]
+
+
+def empty_square_reach(cert: EmptySquareCertificate, cell_cap: int) -> oracle.ReachableSet:
+    """The oracle's FS of the dyadic grid inside the proof square (its box is
+    the square itself), empty when the certificate is right."""
+    points = empty_square_points(cert)
+    box = Box(min(points), max(points))
+    return oracle.fs_enumerate(dyadic_generators(box.hi), box, cell_cap)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .core import (
     GeneratorSet,
     Point,
     Representation,
-    ResourceLimitError,
     ValidationError,
     check_ascending,
 )
@@ -208,23 +207,18 @@ def find_ap_in_fs(A1: Sequence[int], H: int, cell_cap: int = DEFAULT_CELL_CAP) -
     check_ascending(A1, "A1")
     if H < 8:
         raise ValidationError("H must be >= 8")
-    if H + 1 > cell_cap:
-        raise ResourceLimitError(f"window of {H + 1} sums exceeds the cap of {cell_cap}")
-    mask = 1
-    window = (1 << (H + 1)) - 1
-    for a in A1:
-        if a <= H:
-            mask |= (mask << a) & window
+    line = GeneratorSet(tuple(Point((a,)) for a in A1))
+    reached = bytearray(H + 1)  # reached[x] is 1 when x is in FS(A1)
+    for p in fs_enumerate(line, Box(Point((0,)), Point((H,))), cell_cap=cell_cap):
+        reached[p.coords[0]] = 1
     top = H - H // 8
     for d in range(1, H // 4 + 1):
         for c in range(1, d + 1):
             members = range(c, top + 1, d)
             if not members:
                 continue
-            if all((mask >> x) & 1 for x in members):
-                reachable = tuple(
-                    x for x in range(c, H + 1, d) if (mask >> x) & 1
-                )
+            if all(reached[x] for x in members):
+                reachable = tuple(x for x in range(c, H + 1, d) if reached[x])
                 class_size = len(range(c, H + 1, d))
                 return ApSearchResult(
                     found=True,

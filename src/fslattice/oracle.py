@@ -242,10 +242,7 @@ def fs_enumerate(X: GeneratorSet, box: Box, cell_cap: int = DEFAULT_CELL_CAP) ->
         raise ResourceLimitError(
             f"enumeration domain has {cells} cells, above the cap of {cell_cap}"
         )
-    gens = X.pruned_to(box.hi) if len(X) else GeneratorSet(())
-    if len(gens) and gens.dim != box.dim:
-        raise ValidationError("generator/box dimension mismatch")
-    return ReachableSet(box, gens)
+    return ReachableSet(box, X.pruned_to(box.hi))
 
 
 def trm_table(values: Sequence[int], x_max: int) -> list[int]:

@@ -22,7 +22,6 @@ from typing import Callable, Optional, Sequence
 from . import cone, dyadic, gaps
 from .core import (
     Box,
-    DepthError,
     GeneratorSet,
     Point,
     validate_representation,
@@ -51,33 +50,11 @@ class CriterionResult:
 _CONE_SPEC = cone.ConeSpec((Point((1, 2)), Point((2, 1))))
 
 
-def _cone_points(limit: int) -> list[Point]:
-    out = []
-    for x in range(limit + 1):
-        for y in range(limit + 1):
-            p = Point((x, y))
-            if not p.is_zero and _CONE_SPEC.in_cone(p):
-                out.append(p)
-    return out
-
-
 def crit_cone_completeness(seed: int, cell_cap: int) -> dict:
     spec = _CONE_SPEC
-    X = cone.build_thin_generators(spec, cone.default_depth(spec, Point((80, 80))))
-    failures = []
-    checked = 0
-    for p in _cone_points(80):
-        checked += 1
-        try:
-            rep = cone.decompose(spec, X, p)
-        except DepthError:
-            failures.append(str(p))
-            continue
-        if not validate_representation(rep) or not all(m in X for m in rep.members):
-            failures.append(str(p))
-
-    sub = _cone_points(40)
+    X, checked, failures = cone.check_window(spec, 80)
     box = Box(Point((0, 0)), Point((40, 40)))
+    sub = [p for p in box.points_lex() if not p.is_zero and spec.in_cone(p)]
     reach = fs_enumerate(X.all_elements().pruned_to(box.hi), box, cell_cap)
     oracle_misses = [str(p) for p in sub if p not in reach.points]
     return {
@@ -85,7 +62,7 @@ def crit_cone_completeness(seed: int, cell_cap: int) -> dict:
         "time_limit_s": 10.0,
         "details": {
             "points_checked": checked,
-            "decompose_failures": failures[:10],
+            "decompose_failures": [str(p) for p in failures[:10]],
             "oracle_subsample": len(sub),
             "oracle_misses": oracle_misses[:10],
         },
@@ -182,18 +159,14 @@ def crit_empty_squares(seed: int, cell_cap: int) -> dict:
     ok = True
     for D in range(1, 7):
         cert = dyadic.empty_square(D)
-        points = dyadic.empty_square_points(cert)
-        hi = max(points)
-        box = Box(min(points), hi)
-        reach = fs_enumerate(dyadic.dyadic_generators(hi), box, cell_cap)
-        reachable = sorted(str(p) for p in reach.points if p in set(points))
+        reachable = sorted(str(p) for p in dyadic.empty_square_reach(cert, cell_cap))
         square_ok = cert.all_unreachable() and not reachable
         ok = ok and square_ok
         rows.append(
             {
                 "D": D,
                 "x0_bits": dyadic.bit_positions(cert.square.x0),
-                "points": len(points),
+                "points": D * D,
                 "reachable": reachable,
                 "certificate_ok": cert.all_unreachable(),
             }

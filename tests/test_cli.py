@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fslattice
+from fslattice import cone
 from fslattice.cli import main
 from fslattice.core import Point, Representation, validate_representation
 
@@ -105,6 +106,22 @@ class TestCone:
         rep = Representation.from_json(payload["representation"])
         assert rep.target == Point((n, n))
         assert validate_representation(rep)
+
+    def test_verify_checks_membership(self, capsys, monkeypatch, tmp_path):
+        # a representation that sums right but uses a point outside X must fail
+        spec_file = write_json(tmp_path / "cone.json", {"v": [[1, 2], [2, 1]]})
+        outsider = Point((15, 15))
+        real = cone.decompose
+
+        def decompose(spec, X, v):
+            return Representation((v,), v) if v == outsider else real(spec, X, v)
+
+        monkeypatch.setattr(cone, "decompose", decompose)
+        code, out, _ = run(capsys, ["cone", "verify", "--spec", spec_file, "--max", "15"])
+        assert code == 1
+        payload = json.loads(out)
+        assert not payload["passed"]
+        assert payload["failing_point"] == [15, 15]
 
 
 class TestDyadic:
@@ -272,6 +289,7 @@ class TestExitCodes:
             (["cone", "verify", "--spec", "spec-spec-array.json"], None, None),
             (["cone", "decompose", "--spec", "spec-depth-str.json", "--point", "3,3"], None, None),
             (["cone", "verify", "--spec", "spec-depth-str.json"], None, None),
+            (["cone", "decompose", "--spec", "spec-depth-negative.json", "--point", "9,18"], None, None),
         ],
         ids=[
             "unknown-criterion",
@@ -293,6 +311,7 @@ class TestExitCodes:
             "cone-verify-spec-array",
             "cone-decompose-depth-string",
             "cone-verify-depth-string",
+            "cone-decompose-depth-negative",
         ],
     )
     def test_bad_input_is_one_line(self, capsys, monkeypatch, tmp_path, argv, env, config):
@@ -305,6 +324,7 @@ class TestExitCodes:
         write_json(tmp_path / "spec-v-int.json", {"v": 5})
         write_json(tmp_path / "spec-spec-array.json", {"spec": [1]})
         write_json(tmp_path / "spec-depth-str.json", {"v": [[1, 2], [2, 1]], "depth": "5"})
+        write_json(tmp_path / "spec-depth-negative.json", {"v": [[1, 2], [2, 1]], "depth": -1})
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         if env is not None:
             monkeypatch.setenv("FSLATTICE_CAP", env)
@@ -327,6 +347,8 @@ class TestExitCodes:
             (["cone", "verify", "--spec", "cone.json", "--max", "3"], "15"),
             (["cone", "build", "--v", "1,2;2,1", "--depth", "100000"], None),
             (["cone", "decompose", "--spec", "cone-deep.json", "--point", "3,3"], None),
+            (["cone", "decompose", "--spec", "cone.json", "--point", f"{10**40},{10**40}"], "100"),
+            (["cone", "decompose", "--spec", "cone-shallow.json", "--point", f"{10**40},{10**40}"], "100"),
             (["gap", "five-squares", "--lo", "1", "--hi", "1000000000"], None),
             (["gap", "five-squares", "--lo", "1", "--hi", "9"], "8"),
             (["fs", "check", "--generators", "line.json", "--target", "300,4"], "1000"),
@@ -340,6 +362,8 @@ class TestExitCodes:
             "cone-verify-small-cap",
             "cone-build-depth",
             "cone-decompose-spec-depth",
+            "cone-decompose-default-depth",
+            "cone-decompose-required-depth",
             "five-squares",
             "five-squares-small-cap",
             "fs-check-search-nodes",
@@ -348,6 +372,8 @@ class TestExitCodes:
     def test_point_count_above_cap(self, capsys, monkeypatch, tmp_path, argv, env):
         write_json(tmp_path / "cone.json", {"v": [[1, 2], [2, 1]]})
         write_json(tmp_path / "cone-deep.json", {"v": [[1, 2], [2, 1]], "depth": 100000})
+        # the point needs depth 131 whatever the spec says: 2 * 132^2 ray cells
+        write_json(tmp_path / "cone-shallow.json", {"v": [[1, 2], [2, 1]], "depth": 1})
         # 1,505 target cells, above the cap, so the search runs: it needs 4,768 nodes
         write_json(tmp_path / "line.json", [[i, 1] for i in range(1, 41)])
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]

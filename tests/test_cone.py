@@ -191,7 +191,9 @@ class TestDecompose:
 
     def test_auto_extension(self):
         shallow = self._set(depth=0)
-        X, rep = cone.decompose_auto(SPEC, shallow, Point((9, 18)))
+        target = Point((9, 18))
+        X = self._set(depth=max(shallow.depth, cone.required_depth(SPEC, target)))
+        rep = cone.decompose(SPEC, X, target)
         assert X.depth > 0
         assert validate_representation(rep)
 
@@ -204,8 +206,11 @@ class TestDecompose:
             cone.decompose(SPEC, self._set(depth=required - 1), target)
         assert exc.value.required_depth == required
         assert validate_representation(cone.decompose(SPEC, self._set(depth=required), target))
-        X, _ = cone.decompose_auto(SPEC, self._set(depth=0), target)
-        assert X.depth == required
+        assert cone.required_depth(SPEC, target) == required
+
+    def test_required_depth_outside_cone_rejected(self):
+        with pytest.raises(DomainError):
+            cone.required_depth(SPEC, Point((5, 1)))
 
     def test_completeness_small_window(self):
         X = cone.build_thin_generators(SPEC, cone.default_depth(SPEC, Point((30, 30))))
@@ -249,6 +254,19 @@ def test_closed_form_at_scale(case):
     off_ray = [m for m in rep.members if not any(m in ray for ray in X.rays)]
     assert len(off_ray) <= 1
     assert all(m in X.seed for m in off_ray)
+
+
+@settings(deadline=None, max_examples=60)
+@given(cones_and_points())
+def test_required_depth_within_default(case):
+    # every floor is at most max(p) // (smallest nonzero generator coordinate)
+    spec, p = case
+    required = cone.required_depth(spec, p)
+    assert required <= cone.default_depth(spec, p) - 2
+    X = cone.build_thin_generators(spec, max(required, 0))  # -1: every floor is 0
+    rep = cone.decompose(spec, X, p)
+    assert validate_representation(rep)
+    assert all(m in X for m in rep.members)
 
 
 class TestThinness:

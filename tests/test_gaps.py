@@ -10,6 +10,7 @@ from fslattice.core import (
     DomainError,
     GeneratorSet,
     Point,
+    ResourceLimitError,
     ValidationError,
     validate_representation,
 )
@@ -106,6 +107,12 @@ class TestFindAp:
     def test_small_horizon_rejected(self):
         with pytest.raises(ValidationError):
             gaps.find_ap_in_fs([1, 2], 4)
+
+    def test_window_above_cap_refused(self):
+        # [0, 40] has 41 cells: a cap of 41 admits it, a cap of 40 refuses it
+        assert gaps.find_ap_in_fs([1, 2, 4, 8, 16, 32], 40, cell_cap=41).found
+        with pytest.raises(ResourceLimitError):
+            gaps.find_ap_in_fs([1, 2, 4, 8, 16, 32], 40, cell_cap=40)
 
 
 class TestSumsetIterate:
