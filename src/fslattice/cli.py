@@ -24,7 +24,7 @@ from .core import (
     int_array,
     parse_point,
 )
-from .oracle import fs_enumerate, fs_membership
+from .oracle import bit_levels, fs_enumerate, fs_membership
 from .selftest import payload_of, run_criteria
 
 EXIT_OK = 0
@@ -50,11 +50,15 @@ def _emit(payload: dict, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _write_pgm(path: str, rows: list[list[int]]) -> None:
+# the text of each level 0..255 in a PGM row
+_LEVEL_TEXT = [str(v) for v in range(256)]
+
+
+def _write_pgm(path: str, rows: Sequence[bytes]) -> None:
     height = len(rows)
     width = len(rows[0]) if rows else 0
-    lines = [f"P2", f"{width} {height}", "255"]
-    lines += [" ".join(str(v) for v in row) for row in rows]
+    lines = ["P2", f"{width} {height}", "255"]
+    lines += [" ".join(map(_LEVEL_TEXT.__getitem__, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -197,20 +201,22 @@ def _cmd_fs(args, cfg: RunConfig) -> int:
     if args.heatmap:
         _require_2d(box, "--heatmap")
     reach = fs_enumerate(X, box, cell_cap=cfg.cell_cap)
-    points = sorted(reach.points)
+    points = []
+    witnesses = {}
+    for p, rep in reach.witnesses():
+        points.append(p)
+        witnesses[str(p)] = rep.to_json()["members"]
+    points.sort()
     payload = {
         "box": {"lo": box.lo.to_json(), "hi": box.hi.to_json()},
         "count": len(points),
         "points": [p.to_json() for p in points],
-        "witnesses": {str(p): reach.witness(p).to_json()["members"] for p in points},
+        "witnesses": witnesses,
     }
     if args.heatmap:
         lx, ly = box.lo.coords
         hx, hy = box.hi.coords
-        rows = [
-            [255 if Point((x, y)) in reach.points else 0 for x in range(lx, hx + 1)]
-            for y in range(hy, ly - 1, -1)
-        ]
+        rows = [bit_levels(reach.row(y) >> lx, hx - lx + 1, 0, 255) for y in range(hy, ly - 1, -1)]
         _write_pgm(args.heatmap, rows)
         payload["heatmap"] = args.heatmap
     _emit(payload, args.out)
@@ -278,7 +284,7 @@ def _cmd_dyadic(args, cfg: RunConfig) -> int:
         reach = fs_enumerate(
             dyadic.dyadic_generators(box.hi), box, cell_cap=cfg.cell_cap
         )
-        rows = dyadic.exceptional_map(box.lo, box.hi, reach.points)
+        rows = dyadic.exceptional_map(box.lo, box.hi, reach)
         _write_pgm(args.out, rows)
         sys.stdout.write(
             json.dumps({"heatmap": args.out, "reachable": len(reach.points)}, sort_keys=True)

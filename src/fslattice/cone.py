@@ -282,23 +282,28 @@ def check_window(spec: ConeSpec, limit: int) -> tuple[ThinGeneratorSet, int, lis
     and that always suffices: if v_l has a nonzero coordinate i, then
     a_l * v_l[i] <= p[i] <= limit, so floor(a_l) <= limit // m for m the
     smallest nonzero generator coordinate, and required_depth(spec, p) <=
-    default_depth(spec, corner) - 2.  Returns X, the number of points checked,
-    and the points whose decomposition raises DepthError, fails
-    validate_representation or uses a non-member of X.
+    default_depth(spec, corner) - 2.  Returns X, the number of cone points
+    checked, and the points whose decomposition raises DepthError, fails
+    validate_representation or uses a non-member of X.  Each point's
+    numerators are computed once, in decompose, whose DomainError marks a
+    point outside the cone.
     """
     corner = Point((limit,) * spec.k)
     X = build_thin_generators(spec, default_depth(spec, corner))
     checked = 0
     failures = []
     for p in Box(Point.zero(spec.k), corner).points_lex():
-        if p.is_zero or not spec.in_cone(p):
+        if p.is_zero:
             continue
-        checked += 1
         try:
             rep = decompose(spec, X, p)
-        except DepthError:
+        except DepthError:  # a DomainError too, so caught first
+            checked += 1
             failures.append(p)
             continue
+        except DomainError:  # outside the cone
+            continue
+        checked += 1
         if not validate_representation(rep) or not all(m in X for m in rep.members):
             failures.append(p)
     return X, checked, failures
@@ -313,7 +318,12 @@ class ThinnessReport:
 
 
 def thinness_report(X: ThinGeneratorSet, n: int) -> ThinnessReport:
-    """Census of X inside [1,n]^k against the |S| + k*log2(n) + k budget."""
+    """Census of X inside [1,n]^k against the |S| + k*log2(n) + k budget.
+
+    The verdict is exact: with e = count - |S| - k, count <= |S| + k*log2(n)
+    + k iff e <= 0 or 2^e <= n^k.  `bound` is the budget as a float, for
+    display only.
+    """
     if n < 1:
         raise ValidationError("n must be >= 1")
     k = X.spec.k
@@ -321,4 +331,5 @@ def thinness_report(X: ThinGeneratorSet, n: int) -> ThinnessReport:
         1 for p in X.all_elements() if all(1 <= c <= n for c in p.coords)
     )
     bound = len(X.seed) + k * math.log2(n) + k
-    return ThinnessReport(n=n, count=count, bound=bound, passed=count <= bound + 1e-9)
+    e = count - len(X.seed) - k
+    return ThinnessReport(n=n, count=count, bound=bound, passed=e <= 0 or 1 << e <= n**k)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from typing import Container
 
 from . import oracle
 from .core import Box, DomainError, GeneratorSet, Point, Representation, ValidationError
@@ -112,15 +111,16 @@ class SquareSpec:
 
 @dataclass(frozen=True)
 class EmptySquareCertificate:
-    """Per-point term-count gap certifying unreachability."""
+    """Term-count gap certifying unreachability, one entry per column."""
 
     square: SquareSpec
-    # for each offset (j, k), the minimum number of grid terms the first
-    # coordinate needs vs the maximum the second coordinate allows
-    gaps: tuple[tuple[int, int, int, int], ...]  # (j, k, min_terms, max_terms)
+    # for each column offset j = 1..side, the minimum number of grid terms the
+    # first coordinate x0 + j needs; row offset k allows at most 1 + k <= side + 1
+    min_terms: tuple[int, ...]
 
     def all_unreachable(self) -> bool:
-        return all(min_t > max_t for _, _, min_t, max_t in self.gaps)
+        """Every interior point (x0 + j, 1 + k) needs more terms than 1 + k."""
+        return all(t > self.square.side + 1 for t in self.min_terms)
 
 
 def empty_square(D: int) -> EmptySquareCertificate:
@@ -128,20 +128,15 @@ def empty_square(D: int) -> EmptySquareCertificate:
 
     Every interior point (x0+j, 1+k), 1 <= j,k <= D, needs at least D+2 powers
     of two in its first coordinate while the second coordinate caps the number
-    of grid summands at 1+k <= D+1.
+    of grid summands at 1+k <= D+1.  The term count depends on j alone: x0 has
+    D+1 one-bits above bit D and j < 2^(D+1) never carries into them, so
+    popcount(x0 + j) = D + 1 + popcount(j); D entries certify all D^2 points.
     """
     if D < 1:
         raise ValidationError("D must be >= 1")
     x0 = (1 << (2 * D + 2)) - (1 << (D + 1))
-    gaps = []
-    for j in range(1, D + 1):
-        for k in range(1, D + 1):
-            # j < 2^(D+1) so the low bits never carry into x0's block
-            min_terms = (x0 + j).bit_count()
-            max_terms = 1 + k
-            gaps.append((j, k, min_terms, max_terms))
-    square = SquareSpec(x0=x0, y0=1, side=D)
-    return EmptySquareCertificate(square=square, gaps=tuple(gaps))
+    min_terms = tuple((x0 + j).bit_count() for j in range(1, D + 1))
+    return EmptySquareCertificate(square=SquareSpec(x0=x0, y0=1, side=D), min_terms=min_terms)
 
 
 def empty_square_points(cert: EmptySquareCertificate) -> list[Point]:
@@ -251,19 +246,27 @@ LEVEL_E_REACHABLE = 128
 LEVEL_OUTSIDE_E = 255
 
 
-def exceptional_map(box_lo: Point, box_hi: Point, reachable: Container[Point]) -> list[list[int]]:
-    """Grayscale rows (top row = max y) classifying each box point."""
+def exceptional_map(box_lo: Point, box_hi: Point, reach: oracle.ReachableSet) -> list[bytes]:
+    """Rows of level bytes (top row = max y) classifying each box point.
+
+    Row y of E is two runs, x < y.bit_length() and x >= 2^y (in_exceptional's
+    own test), so only the run between them is outside E; the levels of the
+    runs in E come from reach.row(y).  2^y is formed only when y <
+    hx.bit_length(), that is when 2^y <= hx.
+    """
     lx, ly = box_lo.coords
     hx, hy = box_hi.coords
+    if lx < 1 or ly < 1:
+        raise ValidationError("coordinates must be >= 1")
+    width = hx - lx + 1
     rows = []
     for y in range(hy, ly - 1, -1):
-        row = []
-        for x in range(lx, hx + 1):
-            if not in_exceptional(x, y):
-                row.append(LEVEL_OUTSIDE_E)
-            elif Point((x, y)) in reachable:
-                row.append(LEVEL_E_REACHABLE)
-            else:
-                row.append(LEVEL_E_UNREACHABLE)
-        rows.append(row)
+        row = reach.row(y) >> lx
+        levels = oracle.bit_levels(row, width, LEVEL_E_UNREACHABLE, LEVEL_E_REACHABLE)
+        # outside E: y.bit_length() <= x < 2^y, clipped to the box, as offsets from lx
+        start = max(y.bit_length(), lx) - lx
+        stop = (1 << y if y < hx.bit_length() else hx + 1) - lx
+        if start < stop:
+            levels = levels[:start] + bytes((LEVEL_OUTSIDE_E,)) * (stop - start) + levels[stop:]
+        rows.append(levels)
     return rows

@@ -204,6 +204,25 @@ class ReachableSet(Set):
         fit = self._box_mask([0] * len(hi), [h - c for h, c in zip(hi, g.coords)])
         return reach | (reach & fit) << self._index(g)
 
+    def row(self, y: int) -> int:
+        """The cells (0..hi_x, y) of a 2D set as one int, bit x for cell (x, y);
+        0 for a row outside the box."""
+        if self.box.dim != 2:
+            raise ValidationError(f"row needs a 2D set, got {self.box.dim}D")
+        width = self._strides[1]
+        if not 0 <= y <= self.box.hi.coords[1]:
+            return 0
+        start = y * width
+        chunk = self._bytes[start >> 3 : ((start + width) >> 3) + 1]
+        return int.from_bytes(chunk, "little") >> (start & 7) & ((1 << width) - 1)
+
+    def _first_reach(self, i: int) -> int:
+        """The first-reach index k of cell i, read from the bit planes."""
+        k = 0
+        for plane in self._planes:
+            k = k << 1 | _bit(plane, i)
+        return k
+
     def witness(self, p: Point) -> Representation:
         """One representation of a reachable point: include the generator that
         first reached the cell, step back by its offset, and repeat to the origin."""
@@ -211,14 +230,28 @@ class ReachableSet(Set):
             raise ValidationError(f"{p} is not reachable inside the box")
         members: list[Point] = []
         i = self._index(p)
-        while True:
-            k = 0  # first-reach index of cell i
-            for plane in self._planes:
-                k = k << 1 | _bit(plane, i)
-            if not k:
-                return Representation(tuple(sorted(members)), p)
+        while k := self._first_reach(i):
             members.append(self.generators[k - 1])
             i -= self._offsets[k - 1]
+        return Representation(tuple(sorted(members)), p)
+
+    def witnesses(self) -> Iterator[tuple[Point, Representation]]:
+        """(p, witness(p)) for every point, in iteration order.  One memo, local
+        to the call, maps each cell walked to its members, so a walk stops at
+        the first cell an earlier walk passed and the walks share their tails."""
+        memo: dict[int, tuple[Point, ...]] = {0: ()}
+        for p in self:
+            path = []  # (cell, first-reach index) down to a memoized cell
+            i = self._index(p)
+            while i not in memo:
+                k = self._first_reach(i)
+                path.append((i, k))
+                i -= self._offsets[k - 1]
+            members = memo[i]
+            for cell, k in reversed(path):
+                members += (self.generators[k - 1],)
+                memo[cell] = members
+            yield p, Representation(tuple(sorted(members)), p)
 
 
 def _bit(view: bytes, i: int) -> int:
@@ -228,6 +261,13 @@ def _bit(view: bytes, i: int) -> int:
 
 # the set bit positions of each byte value, for iterating a bitset bytewise
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
+
+
+def bit_levels(bits: int, width: int, off: int, on: int) -> bytes:
+    """Bits 0..width-1 of a nonnegative int as width bytes: byte x is `on`
+    where bit x is set and `off` elsewhere (one translate)."""
+    table = bytes.maketrans(b"01", bytes((off, on)))
+    return format(bits & ((1 << width) - 1), f"0{width}b")[::-1].encode().translate(table)
 
 
 def fs_enumerate(X: GeneratorSet, box: Box, cell_cap: int = DEFAULT_CELL_CAP) -> ReachableSet:

@@ -138,8 +138,8 @@ def crit_grid_coverage(seed: int, cell_cap: int) -> dict:
                 represent_failures.append(str(p))
             if p not in reach.points:
                 oracle_misses.append(str(p))
-    for p in reach.points:
-        if not validate_representation(reach.witness(p)):
+    for p, rep in reach.witnesses():
+        if not validate_representation(rep):
             witness_failures.append(str(p))
     return {
         "passed": not (represent_failures or oracle_misses or witness_failures),

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fslattice
-from fslattice import cone
+from fslattice import cone, dyadic
 from fslattice.cli import main
-from fslattice.core import Point, Representation, validate_representation
+from fslattice.core import Box, GeneratorSet, Point, Representation, validate_representation
+from fslattice.oracle import fs_enumerate
 
 
 def run(capsys, argv):
@@ -170,6 +171,26 @@ class TestDyadic:
         code, out, _ = run(capsys, ["dyadic", "map", "--box", "1,1,16,16", "--out", str(pgm)])
         assert code == 0
         assert pgm.read_text().startswith("P2\n16 16\n255\n")
+
+    def test_map_makes_no_per_cell_call(self, capsys, monkeypatch, tmp_path):
+        lo, hi = Point((3, 2)), Point((40, 24))
+        reach = fs_enumerate(dyadic.dyadic_generators(hi), Box(lo, hi))
+        rows = [
+            " ".join(
+                "255" if not dyadic.in_exceptional(x, y) else "128" if Point((x, y)) in reach else "0"
+                for x in range(3, 41)
+            )
+            for y in range(24, 1, -1)
+        ]
+
+        def refuse(a, b):
+            raise AssertionError("dyadic map tested a cell with in_exceptional")
+
+        monkeypatch.setattr(dyadic, "in_exceptional", refuse)
+        pgm = tmp_path / "e.pgm"
+        code, _, err = run(capsys, ["dyadic", "map", "--box", "3,2,40,24", "--out", str(pgm)])
+        assert code == 0, err
+        assert pgm.read_text() == "P2\n38 23\n255\n" + "\n".join(rows) + "\n"
 
 
 class TestGap:
@@ -437,6 +458,28 @@ def test_fs_check_fuzz(capsys, tmp_path, generators, target):
             assert validate_representation(Representation.from_json(payload["representation"]))
     else:
         assert out == "" and err.count("\n") == 1
+
+
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(any), max_size=8, unique=True),
+    st.tuples(st.integers(0, 30), st.integers(0, 12)),
+    st.tuples(st.integers(0, 30), st.integers(0, 12)),
+)
+def test_heatmap_is_the_per_cell_definition(capsys, tmp_path, generators, a, b):
+    lo, hi = Point(tuple(map(min, a, b))), Point(tuple(map(max, a, b)))
+    box = ",".join(map(str, lo.coords + hi.coords))
+    path = write_json(tmp_path / "heat.json", generators)
+    pgm = tmp_path / "heat.pgm"
+    code, _, err = run(capsys, ["fs", "enumerate", "--generators", path, "--box", box, "--heatmap", str(pgm)])
+    assert code == 0, err
+    reach = fs_enumerate(GeneratorSet.of(Point(t) for t in generators), Box(lo, hi))
+    (lx, ly), (hx, hy) = lo.coords, hi.coords
+    rows = [
+        " ".join("255" if Point((x, y)) in reach else "0" for x in range(lx, hx + 1))
+        for y in range(hy, ly - 1, -1)
+    ]
+    assert pgm.read_text() == f"P2\n{hx - lx + 1} {hy - ly + 1}\n255\n" + "\n".join(rows) + "\n"
 
 
 @settings(deadline=None, max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -5,8 +5,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fslattice import cone
 from fslattice.core import (
+    Box,
     DepthError,
     DomainError,
+    GeneratorSet,
     Point,
     ValidationError,
     validate_representation,
@@ -269,6 +271,32 @@ def test_required_depth_within_default(case):
     assert all(m in X for m in rep.members)
 
 
+def test_check_window_computes_numerators_once(monkeypatch):
+    numerators = cone.ConeSpec.coeff_numerators
+    build = cone.build_thin_generators
+    calls = []
+    counting = [True]
+
+    def counted(self, p):
+        if counting[0]:
+            calls.append(p)
+        return numerators(self, p)
+
+    def build_uncounted(spec, depth):
+        counting[0] = False
+        try:
+            return build(spec, depth)
+        finally:
+            counting[0] = True
+
+    monkeypatch.setattr(cone.ConeSpec, "coeff_numerators", counted)
+    monkeypatch.setattr(cone, "build_thin_generators", build_uncounted)
+    _, checked, failures = cone.check_window(SPEC, 20)
+    window = [p for p in Box(Point((0, 0)), Point((20, 20))).points_lex() if not p.is_zero]
+    assert calls == window  # each nonzero point once, in lexicographic order
+    assert checked == sum(1 for p in window if SPEC.in_cone(p)) and not failures
+
+
 class TestThinness:
     def test_budget_at_16(self):
         X = cone.build_thin_generators(SPEC, 6)
@@ -282,6 +310,20 @@ class TestThinness:
         assert report.count == sum(
             1 for p in X.all_elements() if all(c == 1 for c in p.coords)
         )
+
+    @pytest.mark.parametrize("m", [2, 3, 6])
+    def test_exact_verdict_at_power_of_two(self, m):
+        # n = 2^m: the budget |S| + k*log2(n) + k = 1 + 2m + 2 is an integer, met
+        # exactly by that many elements in [1, n]^2 and failed by one more
+        n = 1 << m
+        seed = GeneratorSet.of([Point((1, 1))])
+        others = [p for p in Box(Point((1, 1)), Point((n, n))).points_lex() if p != Point((1, 1))]
+        budget = 1 + 2 * m + 2
+        for count, passed in ((budget, True), (budget + 1, False)):
+            X = cone.ThinGeneratorSet(SPEC, 0, seed, (tuple(others[: count - 1]), ()))
+            report = cone.thinness_report(X, n)
+            assert report.count == count and report.bound == budget
+            assert report.passed is passed
 
     def test_doubling_adds_at_most_k(self):
         X = cone.build_thin_generators(SPEC, 17)

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +8,7 @@ from fslattice import dyadic
 from fslattice.core import (
     Box,
     DomainError,
+    GeneratorSet,
     Point,
     ValidationError,
     validate_representation,
@@ -149,6 +153,28 @@ class TestEmptySquare:
         with pytest.raises(ValidationError):
             dyadic.empty_square(0)
 
+    def test_one_entry_per_column(self):
+        # x0 has D+1 one-bits above bit D, and j <= D never carries into them
+        for D in range(1, 80):
+            cert = dyadic.empty_square(D)
+            assert cert.min_terms == tuple(D + 1 + j.bit_count() for j in range(1, D + 1))
+
+    def test_gap_of_one_column_decides(self):
+        cert = dyadic.empty_square(5)
+        short = dataclasses.replace(cert, min_terms=cert.min_terms[:2] + (6,) + cert.min_terms[3:])
+        # column j = 3 needing 6 = D + 1 terms meets row k = D, which allows 1 + D
+        assert cert.all_unreachable() and not short.all_unreachable()
+
+    def test_certificate_memory_is_linear(self):
+        tracemalloc.start()
+        try:
+            cert = dyadic.empty_square(400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # one tuple per point of the square took about 22 MB
+        assert cert.all_unreachable() and len(cert.min_terms) == 400
+
 
 class TestDenseSquare:
     def test_r3_census(self):
@@ -228,11 +254,39 @@ class TestDenseSquare:
         assert len(points) == len(set(points)) == rep.exact_count
 
 
+def per_cell_map(lo: Point, hi: Point, reach) -> list[bytes]:
+    """The map by its definition, one cell at a time: E = {2^b <= a or 2^a <= b}."""
+    (lx, ly), (hx, hy) = lo.coords, hi.coords
+    return [
+        bytes(
+            dyadic.LEVEL_OUTSIDE_E if not (2**y <= x or 2**x <= y)
+            else dyadic.LEVEL_E_REACHABLE if Point((x, y)) in reach
+            else dyadic.LEVEL_E_UNREACHABLE
+            for x in range(lx, hx + 1)
+        )
+        for y in range(hy, ly - 1, -1)
+    ]
+
+
+@st.composite
+def map_cases(draw):
+    """A 2D box in [1, 70]^2 and either the dyadic grid under it or a small random set."""
+    hx, hy = draw(st.integers(1, 70)), draw(st.integers(1, 70))
+    lo = Point((draw(st.integers(1, hx)), draw(st.integers(1, hy))))
+    hi = Point((hx, hy))
+    if draw(st.booleans()):
+        gens = dyadic.dyadic_generators(hi)
+    else:
+        coords = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(any), max_size=8))
+        gens = GeneratorSet.of(Point(t) for t in coords)
+    return lo, hi, gens
+
+
 class TestExceptionalMap:
     def test_levels(self):
         hi = Point((8, 8))
         reach = fs_enumerate(dyadic.dyadic_generators(hi), Box(Point((1, 1)), hi))
-        rows = dyadic.exceptional_map(Point((1, 1)), hi, set(reach.points))
+        rows = dyadic.exceptional_map(Point((1, 1)), hi, reach)
         assert len(rows) == 8 and len(rows[0]) == 8
         # top row is y=8: (1,8) is in E (2^1 <= 8) and reachable as (1,8) itself
         assert rows[0][0] == dyadic.LEVEL_E_REACHABLE
@@ -240,3 +294,18 @@ class TestExceptionalMap:
         assert rows[5][4] == dyadic.LEVEL_OUTSIDE_E
         # (7,1): in E, 7 needs three powers but the height caps terms at 1
         assert rows[7][6] == dyadic.LEVEL_E_UNREACHABLE
+
+    @settings(deadline=None, max_examples=80)
+    @given(map_cases())
+    def test_rows_are_the_per_cell_definition(self, case):
+        # rows with y >= 7 have 2^y beyond every box edge hx <= 70
+        lo, hi, gens = case
+        reach = fs_enumerate(gens, Box(lo, hi))
+        assert dyadic.exceptional_map(lo, hi, reach) == per_cell_map(lo, hi, reach)
+
+    @pytest.mark.parametrize("lo", [(0, 1), (1, 0)])
+    def test_zero_coordinate_rejected(self, lo):
+        box = Box(Point(lo), Point((4, 4)))
+        reach = fs_enumerate(dyadic.dyadic_generators(box.hi), box)
+        with pytest.raises(ValidationError, match="coordinates must be >= 1"):
+            dyadic.exceptional_map(box.lo, box.hi, reach)

@@ -422,6 +422,40 @@ class TestReachableSet:
         # 2047 = 1 + 2 + ... + 1024, each power once with second coordinate 1
         assert [m.coords for m in rep.members] == [(1 << i, 1) for i in range(11)]
 
+    @settings(deadline=None, max_examples=60)
+    @given(sets_and_boxes())
+    def test_witnesses_are_the_single_walks(self, case):
+        X, box = case
+        reach = fs_enumerate(X, box)
+        pairs = list(reach.witnesses())
+        assert [p for p, _ in pairs] == list(reach)
+        assert dict(pairs) == {p: reach.witness(p) for p in reach}
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(any), max_size=8, unique=True),
+        st.tuples(st.integers(0, 40), st.integers(0, 12)),
+        st.tuples(st.integers(0, 40), st.integers(0, 12)),
+    )
+    def test_row_is_the_cells_of_one_y(self, coords, a, b):
+        # widths up to 41 bits, so rows start and end inside bytes
+        lo, hi = Point(tuple(map(min, a, b))), Point(tuple(map(max, a, b)))
+        reach = fs_enumerate(GeneratorSet.of(Point(t) for t in coords), Box(lo, hi))
+        hx, hy = hi.coords
+        for y in range(hy + 1):
+            expected = sum(1 << x for x in range(hx + 1) if Point((x, y)) in reach)
+            assert reach.row(y) == expected
+        assert reach.row(-1) == reach.row(hy + 1) == 0
+
+    def test_row_needs_two_dimensions(self):
+        reach = fs_enumerate(GeneratorSet.of([Point((1, 1, 1))]), Box(Point.zero(3), Point((2, 2, 2))))
+        with pytest.raises(ValidationError):
+            reach.row(0)
+
+    def test_bit_levels(self):
+        assert oracle.bit_levels(0b1101, 6, 7, 9) == bytes([9, 7, 9, 9, 7, 7])
+        assert oracle.bit_levels(0b111, 2, 0, 255) == bytes([255, 255])  # bits past width dropped
+
     @pytest.mark.parametrize(
         "period, cells", [(1, 1), (1, 9), (3, 12), (5, 5), (7, 7 * 64), (64, 8000)]
     )
