@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -84,10 +85,16 @@ def _check_cap(points: int, what: str, cfg: RunConfig) -> None:
         raise ResourceLimitError(f"{what} has {points} points, above the cap of {cfg.cell_cap}")
 
 
+def _check_seed_box(spec: cone.ConeSpec, cfg: RunConfig) -> None:
+    """build_thin_generators scans every point of the seed's bounding box."""
+    _check_cap(math.prod(h + 1 for h in cone.seed_box(spec).hi.coords), "cone seed box", cfg)
+
+
 def _thin_generators(spec: cone.ConeSpec, depth: int, cfg: RunConfig) -> cone.ThinGeneratorSet:
     """build_thin_generators, refused above the cap: its k rays hold about k * depth^2 bits."""
     if depth >= 0:  # a negative depth is build_thin_generators' ValidationError
         _check_cap(spec.k * (depth + 1) ** 2, "cone rays", cfg)
+        _check_seed_box(spec, cfg)
     return cone.build_thin_generators(spec, depth)
 
 
@@ -247,6 +254,7 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
     # verify
     limit = args.max
     _check_cap((limit + 1) ** spec.k, "cone verify window", cfg)
+    _check_seed_box(spec, cfg)
     _, checked, failures = cone.check_window(spec, limit)
     _emit(
         {

@@ -175,14 +175,19 @@ class ThinGeneratorSet:
         }
 
 
+def seed_box(spec: ConeSpec) -> Box:
+    """The box build_thin_generators scans for the seed: [0, k * max_l v_l[j]] on axis j."""
+    k = spec.k
+    return Box(Point.zero(k), Point(tuple(k * max(v.coords[j] for v in spec.v) for j in range(k))))
+
+
 def build_thin_generators(spec: ConeSpec, depth: int) -> ThinGeneratorSet:
     """Enumerate the seed simplex exactly and attach dyadic rays of the given depth."""
     if depth < 0:
         raise ValidationError("depth must be >= 0")
     k = spec.k
-    hi = Point(tuple(k * max(v.coords[j] for v in spec.v) for j in range(k)))
     seed_points = []
-    for p in Box(Point.zero(k), hi).points_lex():
+    for p in seed_box(spec).points_lex():
         nums, den = spec.coeff_numerators(p)
         if not p.is_zero and all(x >= 0 for x in nums) and sum(nums) <= k * den:
             seed_points.append(p)

@@ -1,9 +1,9 @@
 """Acceptance suite: every headline guarantee checked at desk scale.
 
-Each criterion is a pure function of (seed, cell_cap) returning a result whose
-JSON form is deterministic; the determinism criterion runs criteria 1-11 again,
-in process and in a second interpreter with a different PYTHONHASHSEED, and
-compares bytes.
+Criteria 1-11 are pure functions of (seed, cell_cap) returning a result whose
+JSON form is deterministic.  The determinism criterion, 12, compares their
+bytes from this process's one run with those of a second interpreter, started
+with a different PYTHONHASHSEED before criterion 1 and running alongside it.
 """
 
 from __future__ import annotations
@@ -284,8 +284,8 @@ def crit_trm_bound(seed: int, cell_cap: int) -> dict:
     return {"passed": not violations, "details": {"max_trm": max(table), "violations": violations}}
 
 
-# run by crit_determinism's child interpreter: argv is seed, cell_cap and the
-# directory holding this package, which goes first on sys.path
+# run by the determinism child: argv is seed, cell_cap and the directory
+# holding this package, which goes first on sys.path
 _CHILD_SCRIPT = """\
 import sys
 sys.path.insert(0, sys.argv[3])
@@ -294,18 +294,19 @@ sys.stdout.buffer.write(payload_bytes(int(sys.argv[1]), int(sys.argv[2])))
 """
 
 
-def payload_bytes(seed: int, cell_cap: int) -> bytes:
-    """The sorted-key JSON payload of criteria 1-11, the bytes criterion 12 compares."""
-    payload = payload_of(seed, run_criteria(seed, cell_cap, ids=range(1, 12)))
-    return json.dumps(payload, sort_keys=True).encode()
+def payload_bytes(
+    seed: int, cell_cap: int, results: Optional[Sequence[CriterionResult]] = None
+) -> bytes:
+    """The sorted-key JSON payload of criteria 1-11, the bytes criterion 12
+    compares; they are run here unless `results` holds them."""
+    if results is None:
+        results = run_criteria(seed, cell_cap, ids=range(1, 12))
+    return json.dumps(payload_of(seed, results), sort_keys=True).encode()
 
 
-def crit_determinism(seed: int, cell_cap: int) -> dict:
-    """Criteria 1-11 give the same bytes in this process and in one child
-    interpreter started with another PYTHONHASHSEED, so iteration order that
-    follows string hashing shows too.  The child runs while this process
-    computes its own bytes; a child that cannot start or exits non-zero fails
-    the criterion."""
+def _start_child(seed: int, cell_cap: int):
+    """The one determinism child: payload_bytes in a second interpreter with
+    another PYTHONHASHSEED, or None when it cannot start."""
     import subprocess  # here, not at the top: `fslattice.cli` imports this module
 
     own = os.environ.get("PYTHONHASHSEED")
@@ -313,27 +314,28 @@ def crit_determinism(seed: int, cell_cap: int) -> dict:
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     argv = [sys.executable, "-c", _CHILD_SCRIPT, str(seed), str(cell_cap), src]
     try:
-        child = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     except OSError:
-        child = None
-    try:
-        a = payload_bytes(seed, cell_cap)
-    except BaseException:  # stop the child, then re-raise
-        if child is not None:
-            child.kill()
-            child.communicate()
-        raise
-    b = None
+        return None
+
+
+def crit_determinism(seed: int, cell_cap: int, child, own: bytes) -> dict:
+    """Criteria 1-11 give the same bytes in this process (`own`) and in the
+    child interpreter, which run_criteria starts with another PYTHONHASHSEED
+    before criterion 1, so iteration order that follows string hashing shows
+    too.  What is timed here is the wait left for the child; a child that
+    could not start (None) or exits non-zero fails the criterion."""
+    theirs = None
     if child is not None:
         out, _ = child.communicate()  # stderr is read and dropped, never echoed
-        b = out if child.returncode == 0 else None
+        theirs = out if child.returncode == 0 else None
     return {
-        "passed": a == b,
-        "details": {"bytes": len(a), "identical": a == b},
+        "passed": own == theirs,
+        "details": {"bytes": len(own), "identical": own == theirs},
     }
 
 
-CRITERIA: list[tuple[int, str, Callable[[int, int], dict]]] = [
+CRITERIA: list[tuple[int, str, Callable[..., dict]]] = [
     (1, "cone completeness", crit_cone_completeness),
     (2, "cone thinness census", crit_thinness),
     (3, "simplex covering lemmas (sampled)", crit_cover_lemmas),
@@ -349,13 +351,24 @@ CRITERIA: list[tuple[int, str, Callable[[int, int], dict]]] = [
 ]
 
 
-def run_criterion(cid: int, seed: int = 0, cell_cap: int = DEFAULT_CELL_CAP) -> CriterionResult:
+def _entry(cid: int) -> tuple[int, str, Callable[..., dict]]:
     entry = next((e for e in CRITERIA if e[0] == cid), None)
     if entry is None:
         raise ValueError(f"unknown criterion {cid}")
-    _, name, fn = entry
+    return entry
+
+
+def run_criterion(
+    cid: int, seed: int = 0, cell_cap: int = DEFAULT_CELL_CAP, *determinism
+) -> CriterionResult:
+    """Run and time one criterion.  Criterion 12 takes the child and the bytes
+    of criteria 1-11 (`determinism`) from run_criteria; called without them it
+    is run_criteria(seed, cell_cap, [12])."""
+    if cid == 12 and not determinism:
+        return run_criteria(seed, cell_cap, [12])[0]
+    _, name, fn = _entry(cid)
     start = time.perf_counter()
-    out = fn(seed, cell_cap)
+    out = fn(seed, cell_cap, *determinism)
     elapsed = time.perf_counter() - start
     passed = out["passed"]
     limit = out.get("time_limit_s")
@@ -369,8 +382,26 @@ def run_criteria(
     cell_cap: int = DEFAULT_CELL_CAP,
     ids: Optional[Sequence[int]] = None,
 ) -> list[CriterionResult]:
+    """The wanted criteria (default: all), in the order asked.  With criterion
+    12 wanted, its child starts first and criteria 1-11 each run once in this
+    process while it runs; criterion 12 compares their bytes with the child's,
+    and only the wanted results are returned."""
     wanted = list(ids) if ids is not None else [cid for cid, _, _ in CRITERIA]
-    return [run_criterion(cid, seed, cell_cap) for cid in wanted]
+    for cid in wanted:
+        _entry(cid)  # an unknown id fails before any work
+    if 12 not in wanted:
+        return [run_criterion(cid, seed, cell_cap) for cid in wanted]
+    child = _start_child(seed, cell_cap)
+    try:
+        done = {cid: run_criterion(cid, seed, cell_cap) for cid in range(1, 12)}
+        own = payload_bytes(seed, cell_cap, list(done.values()))
+        done[12] = run_criterion(12, seed, cell_cap, child, own)
+    except BaseException:  # stop the child, then re-raise
+        if child is not None:
+            child.kill()
+            child.communicate()
+        raise
+    return [done[cid] for cid in wanted]
 
 
 def payload_of(seed: int, results: Sequence[CriterionResult]) -> dict:

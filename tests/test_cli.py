@@ -367,6 +367,7 @@ class TestExitCodes:
             (["cone", "verify", "--spec", "cone.json", "--max", "100000"], None),
             (["cone", "verify", "--spec", "cone.json", "--max", "3"], "15"),
             (["cone", "build", "--v", "1,2;2,1", "--depth", "100000"], None),
+            (["cone", "build", "--v", "100,99;99,100", "--depth", "1"], "100"),
             (["cone", "decompose", "--spec", "cone-deep.json", "--point", "3,3"], None),
             (["cone", "decompose", "--spec", "cone.json", "--point", f"{10**40},{10**40}"], "100"),
             (["cone", "decompose", "--spec", "cone-shallow.json", "--point", f"{10**40},{10**40}"], "100"),
@@ -382,6 +383,7 @@ class TestExitCodes:
             "cone-verify",
             "cone-verify-small-cap",
             "cone-build-depth",
+            "cone-build-seed-box",
             "cone-decompose-spec-depth",
             "cone-decompose-default-depth",
             "cone-decompose-required-depth",
@@ -407,7 +409,8 @@ class TestExitCodes:
 
     def test_point_count_at_cap_runs(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("FSLATTICE_CAP", "16")
-        spec = write_json(tmp_path / "cone.json", {"v": [[1, 2], [2, 1]]})
+        # a 16-point window; the seed box is [0,2] x [0,4], 15 points
+        spec = write_json(tmp_path / "cone.json", {"v": [[1, 1], [1, 2]]})
         for argv in (
             ["dyadic", "dense-square", "--R", "4"],
             ["dyadic", "empty-square", "--D", "4"],
@@ -416,6 +419,26 @@ class TestExitCodes:
         ):
             code, _, err = run(capsys, argv)
             assert code == 0, err
+
+    @pytest.mark.parametrize("command", ["build", "decompose", "verify"])
+    def test_seed_box_is_charged(self, capsys, monkeypatch, tmp_path, command):
+        # the seed box of (1,2),(2,1) is [0,4]^2, 25 points; the rays and the window are smaller
+        spec = write_json(tmp_path / "cone.json", {"v": [[1, 2], [2, 1]], "depth": 1})
+        argv = {
+            "build": ["cone", "build", "--v", "1,2;2,1", "--depth", "1"],
+            "decompose": ["cone", "decompose", "--spec", spec, "--point", "3,3"],
+            "verify": ["cone", "verify", "--spec", spec, "--max", "1"],
+        }[command]
+        monkeypatch.delenv("FSLATTICE_CAP", raising=False)
+        code, expected, _ = run(capsys, argv)
+        assert code == 0
+        for cap in ("100", "25"):
+            monkeypatch.setenv("FSLATTICE_CAP", cap)
+            assert run(capsys, argv) == (0, expected, "")
+        monkeypatch.setenv("FSLATTICE_CAP", "24")
+        assert run(capsys, argv) == (
+            2, "", "resource error: cone seed box has 25 points, above the cap of 24\n"
+        )
 
     def test_resource_cap_env(self, capsys, monkeypatch, gens_file):
         monkeypatch.setenv("FSLATTICE_CAP", "50")

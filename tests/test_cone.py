@@ -227,15 +227,22 @@ class TestDecompose:
 
 
 @st.composite
-def cones_and_points(draw):
-    """A small independent, non-axis-parallel 2D or 3D cone and a cone point up to 10^30."""
+def small_cones(draw):
+    """A small independent, non-axis-parallel 2D or 3D cone."""
     k = draw(st.sampled_from([2, 3]))
     coords = st.lists(st.integers(0, 3), min_size=k, max_size=k)
     vs = draw(st.lists(coords.filter(lambda c: sum(x != 0 for x in c) >= 2), min_size=k, max_size=k))
     try:
-        spec = cone.ConeSpec(tuple(Point(tuple(v)) for v in vs))
+        return cone.ConeSpec(tuple(Point(tuple(v)) for v in vs))
     except ValidationError:
         assume(False)
+
+
+@st.composite
+def cones_and_points(draw):
+    """A small cone (small_cones) and a cone point up to 10^30."""
+    spec = draw(small_cones())
+    k = spec.k
     mult = draw(st.lists(st.integers(0, 10**29), min_size=k, max_size=k))
     shift = draw(st.lists(st.integers(0, 3 * k), min_size=k, max_size=k))
     p = Point(tuple(
@@ -269,6 +276,40 @@ def test_required_depth_within_default(case):
     rep = cone.decompose(spec, X, p)
     assert validate_representation(rep)
     assert all(m in X for m in rep.members)
+
+
+def _det(rows):
+    """Integer determinant by cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum(
+        (-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]]) for j in range(len(rows))
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_cones())
+def test_residual_lies_in_the_parallelepiped(spec):
+    # P = {sum t_l v_l : 0 <= t_l < 1}; a point of the seed is its own
+    # representation, every other one is its residual plus distinct ray elements
+    k = spec.k
+    corner = Point((12 if k == 2 else 6,) * k)
+    X = cone.build_thin_generators(spec, cone.default_depth(spec, corner))
+    rays = {p for ray in X.rays for p in ray}
+    for p in Box(Point.zero(k), corner).points_lex():
+        if p.is_zero or not spec.in_cone(p):
+            continue
+        rep = cone.decompose(spec, X, p)
+        if p in X.seed:
+            assert rep.members == (p,)
+            continue
+        residual = [m for m in rep.members if m not in rays]
+        assert len(residual) <= 1
+        for r in residual:
+            nums, den = spec.coeff_numerators(r)
+            assert all(0 <= x < den for x in nums)
+    # P holds |det V| lattice points, and its nonzero ones all lie in the seed
+    assert abs(_det([list(v.coords) for v in spec.v])) - 1 <= len(X.seed)
 
 
 def test_check_window_computes_numerators_once(monkeypatch):
