@@ -11,6 +11,7 @@ import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,8 +44,59 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _json_key(key: object) -> str:
+    """A dict key as json writes it: None, a bool, an int or a float as its quoted JSON text."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + json.dumps(key) + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _wrap(brackets: str, parts: list[str], ind: str) -> str:
+    """One indented container; ind is a newline and the indent of the line it opens on."""
+    if not parts:
+        return brackets
+    inner = ind + "  "
+    return brackets[0] + inner + ("," + inner).join(parts) + ind + brackets[1]
+
+
+_INT_ONLY = frozenset({int})
+
+
+def _json_text(payload: object) -> str:
+    """The text of json.dumps(payload, sort_keys=True, indent=2), by joins:
+    given an indent, json.dumps leaves its C encoder for a pure-Python one.
+    A scalar other than an exact int or str is json.dumps'd alone, which
+    writes it as the indented encoder does.  A memo, local to the call,
+    renders each distinct all-int list once per indent level (witness
+    members repeat a few generators many times)."""
+    memo: dict[tuple[str, tuple], str] = {}
+
+    def render(v: object, ind: str) -> str:
+        if type(v) is int:
+            return int.__repr__(v)
+        if type(v) is str:
+            return encode_basestring_ascii(v)
+        if isinstance(v, dict):
+            inner = ind + "  "
+            return _wrap("{}", [_json_key(k) + ": " + render(x, inner) for k, x in sorted(v.items())], ind)
+        if not isinstance(v, (list, tuple)):
+            return json.dumps(v)
+        if not _INT_ONLY.issuperset(map(type, v)):
+            inner = ind + "  "
+            return _wrap("[]", [render(x, inner) for x in v], ind)
+        key = (ind, tuple(v))
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _wrap("[]", list(map(int.__repr__, v)), ind)
+        return text
+
+    return render(payload, "\n")
+
+
 def _emit(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _json_text(payload) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -208,16 +260,16 @@ def _cmd_fs(args, cfg: RunConfig) -> int:
     if args.heatmap:
         _require_2d(box, "--heatmap")
     reach = fs_enumerate(X, box, cell_cap=cfg.cell_cap)
-    points = []
+    points = []  # coordinate tuples, which _emit writes as lists
     witnesses = {}
     for p, rep in reach.witnesses():
-        points.append(p)
-        witnesses[str(p)] = rep.to_json()["members"]
+        points.append(p.coords)
+        witnesses[str(p)] = [m.coords for m in rep.members]
     points.sort()
     payload = {
         "box": {"lo": box.lo.to_json(), "hi": box.hi.to_json()},
         "count": len(points),
-        "points": [p.to_json() for p in points],
+        "points": points,
         "witnesses": witnesses,
     }
     if args.heatmap:
@@ -376,7 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource error: {exc}\n")
         return EXIT_RESOURCE
-    except (ValueError, FileNotFoundError) as exc:  # ValidationError, DomainError, JSON errors
+    except (ValueError, OSError) as exc:  # ValidationError, DomainError, JSON errors, paths
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
 

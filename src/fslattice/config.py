@@ -52,5 +52,8 @@ class RunConfig:
             values.update(data)
         env_cap = os.environ.get(ENV_CAP)
         if env_cap is not None:
-            values["cell_cap"] = int(env_cap)
+            try:
+                values["cell_cap"] = int(env_cap)
+            except ValueError:
+                raise ValidationError(f"{ENV_CAP} must be an integer, got {env_cap!r}") from None
         return cls(**values)

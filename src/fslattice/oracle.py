@@ -233,7 +233,7 @@ class ReachableSet(Set):
         while k := self._first_reach(i):
             members.append(self.generators[k - 1])
             i -= self._offsets[k - 1]
-        return Representation(tuple(sorted(members)), p)
+        return Representation(tuple(sorted(members, key=_COORDS)), p)
 
     def witnesses(self) -> Iterator[tuple[Point, Representation]]:
         """(p, witness(p)) for every point, in iteration order.  One memo, local
@@ -251,13 +251,17 @@ class ReachableSet(Set):
             for cell, k in reversed(path):
                 members += (self.generators[k - 1],)
                 memo[cell] = members
-            yield p, Representation(tuple(sorted(members)), p)
+            yield p, Representation(tuple(sorted(members, key=_COORDS)), p)
 
 
 def _bit(view: bytes, i: int) -> int:
     """Bit i of a little-endian bytes view of a bitset."""
     return view[i >> 3] >> (i & 7) & 1
 
+
+# Point's dataclass order compares (coords,), so this key sorts Points in the
+# same order without a generated __lt__ call per comparison
+_COORDS = operator.attrgetter("coords")
 
 # the set bit positions of each byte value, for iterating a bitset bytewise
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]

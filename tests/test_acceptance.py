@@ -7,6 +7,7 @@ per-criterion runtime limits.
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,21 @@ def test_empty_square_output_is_pinned(capsys):
         '{\n  "certificate_ok": true,\n  "side": 2,\n'
         '  "x0": [\n    3,\n    4,\n    5\n  ],\n  "y0": [\n    0\n  ]\n}\n'
     )
+
+
+# sha256 of `fs enumerate` stdout for 24 seeded generators in [1,9]^2 over the
+# box [0,30]^2: 664 points, each with its witness
+FS_ENUMERATE_SHA256 = "4f3ae0d0deb1fbaf77fd6aa1298f2df72a89871dd8db730b0a9da4a9fdc45efc"
+
+
+def test_fs_enumerate_output_is_pinned(capsys, tmp_path):
+    rng = random.Random(13)
+    generators = sorted(rng.sample([(x, y) for x in range(1, 10) for y in range(1, 10)], 24))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(generators))
+    assert main(["fs", "enumerate", "--generators", str(path), "--box", "0,0,30,30"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == FS_ENUMERATE_SHA256
 
 
 @pytest.mark.parametrize("mode, patches", [("traced", 31), ("memory", 5)])

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fslattice
-from fslattice import cone, dyadic
-from fslattice.cli import main
+from fslattice import cli, cone, dyadic
+from fslattice.cli import _json_text, main
 from fslattice.core import Box, GeneratorSet, Point, Representation, validate_representation
 from fslattice.oracle import fs_enumerate
 
@@ -24,6 +24,19 @@ def run(capsys, argv):
 def write_json(path, data):
     path.write_text(json.dumps(data))
     return str(path)
+
+
+@pytest.fixture(autouse=True)
+def writer_is_json_dumps(monkeypatch):
+    """Every payload a test here emits, fuzzed ones included: the CLI's writer
+    gives the text of json.dumps(payload, sort_keys=True, indent=2)."""
+
+    def checked(payload):
+        text = _json_text(payload)
+        assert text == json.dumps(payload, sort_keys=True, indent=2)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
 
 
 @pytest.fixture
@@ -311,6 +324,10 @@ class TestExitCodes:
             (["cone", "decompose", "--spec", "spec-depth-str.json", "--point", "3,3"], None, None),
             (["cone", "verify", "--spec", "spec-depth-str.json"], None, None),
             (["cone", "decompose", "--spec", "spec-depth-negative.json", "--point", "9,18"], None, None),
+            (["fs", "check", "--generators", "dir.json", "--target", "1,1"], None, None),
+            (["--config", "dir.json", "fs", "check", "--generators", "g.json", "--target", "1,1"], None, None),
+            (["fs", "check", "--generators", "g.json", "--target", "1,1", "--out", "dir.json"], None, None),
+            (["fs", "enumerate", "--generators", "g.json", "--box", "0,0,3,3", "--heatmap", "dir.json"], None, None),
         ],
         ids=[
             "unknown-criterion",
@@ -333,6 +350,10 @@ class TestExitCodes:
             "cone-decompose-depth-string",
             "cone-verify-depth-string",
             "cone-decompose-depth-negative",
+            "directory-generators",
+            "directory-config",
+            "directory-out",
+            "directory-heatmap",
         ],
     )
     def test_bad_input_is_one_line(self, capsys, monkeypatch, tmp_path, argv, env, config):
@@ -346,6 +367,8 @@ class TestExitCodes:
         write_json(tmp_path / "spec-spec-array.json", {"spec": [1]})
         write_json(tmp_path / "spec-depth-str.json", {"v": [[1, 2], [2, 1]], "depth": "5"})
         write_json(tmp_path / "spec-depth-negative.json", {"v": [[1, 2], [2, 1]], "depth": -1})
+        write_json(tmp_path / "g.json", [[1, 1], [2, 2]])
+        (tmp_path / "dir.json").mkdir()
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         if env is not None:
             monkeypatch.setenv("FSLATTICE_CAP", env)
@@ -440,6 +463,12 @@ class TestExitCodes:
             2, "", "resource error: cone seed box has 25 points, above the cap of 24\n"
         )
 
+    def test_bad_env_cap_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("FSLATTICE_CAP", "abc")
+        assert run(capsys, ["gap", "five-squares", "--lo", "1", "--hi", "3"]) == (
+            1, "", "error: FSLATTICE_CAP must be an integer, got 'abc'\n"
+        )
+
     def test_resource_cap_env(self, capsys, monkeypatch, gens_file):
         monkeypatch.setenv("FSLATTICE_CAP", "50")
         code, _, err = run(
@@ -447,6 +476,70 @@ class TestExitCodes:
         )
         assert code == 2
         assert "resource error" in err
+
+
+# -- the JSON writer: the text of json.dumps(value, sort_keys=True, indent=2)
+
+json_strings = st.text(
+    st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\U0001f600\xe9'), max_size=6
+)
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**100), 2**100)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | json_strings
+)
+
+
+def json_trees(depth):
+    """JSON values nested at most `depth` deep; tuples stand for arrays too."""
+    if depth == 0:
+        return json_scalars
+    inner = json_trees(depth - 1)
+    return (
+        json_scalars
+        | st.lists(inner, max_size=3)
+        | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(json_strings, inner, max_size=3)
+    )
+
+
+@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(json_trees(6))
+def test_writer_is_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(st.integers(-(2**70), 2**70), json_trees(2), max_size=5))
+def test_writer_int_keys(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {None: 1},
+        {True: [1]},
+        {1.5: {}},
+        {float("nan"): 0},
+        # the memo must not render these equal lists alike
+        [[1, 2], [1.0, 2], [True, 2], (1, 2), [[1, 2]]],
+    ],
+)
+def test_writer_keys_and_memo(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, {"a": [frozenset()]}, {(1, 2): 0}])
+def test_writer_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError) as got:
+        _json_text(value)
+    assert str(got.value) == str(expected.value)
 
 
 json_values = st.recursive(
