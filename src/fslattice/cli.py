@@ -394,7 +394,9 @@ def _cmd_gap(args, cfg: RunConfig) -> int:
 
 def _cmd_selftest(args, cfg: RunConfig) -> int:
     ids = None
-    if args.criteria:
+    if args.criteria is not None:
+        if not args.criteria:
+            raise ValidationError("--criteria lists no criterion")
         ids = [int(v) for v in args.criteria.split(",")]
     seed = args.seed if args.seed is not None else cfg.seed
     results = run_criteria(seed, cfg.cell_cap, ids)

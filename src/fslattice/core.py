@@ -6,6 +6,7 @@ canonical (lexicographic) ordering fixed by GeneratorSet.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Iterator, Sequence
@@ -97,6 +98,11 @@ class Point:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
+# Point's dataclass order compares (coords,), so this key sorts Points in the
+# same order without a generated __lt__ call per comparison
+COORDS = operator.attrgetter("coords")
+
+
 def int_array(data: object, what: str) -> list[int]:
     """Decoded JSON checked to be an array of integers (booleans excluded)."""
     if not isinstance(data, (list, tuple)) or not all(type(v) is int for v in data):
@@ -120,23 +126,35 @@ class GeneratorSet:
     elements: tuple[Point, ...]
 
     def __post_init__(self) -> None:
-        seen: set[Point] = set()
+        coords = [p.coords for p in self.elements]
+        # tuples compare in C: one dimension, strictly ascending (so distinct),
+        # and the smallest, the only place a zero vector can then be, nonzero
+        if coords and (
+            len(set(map(len, coords))) > 1
+            or not all(map(operator.lt, coords, coords[1:]))
+            or not any(coords[0])
+        ):
+            raise ValidationError(self._fault())
+        # membership set, built once; not a field, so eq and hash ignore it
+        object.__setattr__(self, "_members", frozenset(coords))
+
+    def _fault(self) -> str:
+        """What is wrong with the elements: the first bad element's fault,
+        checked in element order, else their order."""
+        seen: set[tuple[int, ...]] = set()
         for p in self.elements:
             if p.dim != self.elements[0].dim:
-                raise ValidationError("generator set mixes dimensions")
+                return "generator set mixes dimensions"
             if p.is_zero:
-                raise ValidationError("generator set may not contain the zero vector")
-            if p in seen:
-                raise ValidationError(f"duplicate generator {p}")
-            seen.add(p)
-        if list(self.elements) != sorted(self.elements):
-            raise ValidationError("generators must be in canonical (lexicographic) order")
-        # membership set, built once; not a field, so eq and hash ignore it
-        object.__setattr__(self, "_members", frozenset(seen))
+                return "generator set may not contain the zero vector"
+            if p.coords in seen:
+                return f"duplicate generator {p}"
+            seen.add(p.coords)
+        return "generators must be in canonical (lexicographic) order"
 
     @classmethod
     def of(cls, points: Iterable[Point]) -> "GeneratorSet":
-        return cls(tuple(sorted(set(points))))
+        return cls(tuple(sorted(set(points), key=COORDS)))
 
     @property
     def dim(self) -> int:
@@ -151,7 +169,7 @@ class GeneratorSet:
         return iter(self.elements)
 
     def __contains__(self, p: Point) -> bool:
-        return p in self._members  # type: ignore[attr-defined]
+        return isinstance(p, Point) and p.coords in self._members  # type: ignore[attr-defined]
 
     def pruned_to(self, bound: Point) -> "GeneratorSet":
         """Drop generators that cannot participate in any sum <= bound."""

@@ -14,6 +14,7 @@ from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
+    COORDS,
     Box,
     GeneratorSet,
     Point,
@@ -125,23 +126,35 @@ def _repeat_mask(period: int, cells: int) -> int:
 
 
 class ReachableSet(Set):
-    """FS(generators) in a box, a read-only set of Points: bit i of one bytes
-    object is the cell of [0, box.hi] with mixed-radix index i (axis 0 fastest).
-    Points are built only while iterating.  The generators are added in the
-    order given.  Witnesses come from each cell's first-reach index k (the
-    cell was first reached by including generator k - 1; 0 for the origin),
-    kept bit-sliced: bit j of k is bit i of plane j, in one bytes object per plane.
+    """FS(generators) in a box, a read-only set of Points: one bytes object
+    holds a bit per cell of a padded grid over [0, box.hi] (axis 0 fastest),
+    set exactly for the reachable cells of the box.  Points are built only
+    while iterating.  The generators are added in the order given.  Witnesses
+    come from each cell's first-reach index k (the cell was first reached by
+    including generator k - 1; 0 for the origin), kept bit-sliced: bit j of k
+    is the cell's bit of plane j, in one bytes object per plane.
     """
 
     def __init__(self, box: Box, generators: Iterable[Point]):
         self.box = box
         self.generators = tuple(generators)
-        # place values of the axes; the last one is the number of cells
-        self._strides = list(accumulate((h + 1 for h in box.hi.coords), operator.mul, initial=1))
+        hi = box.hi.coords
+        # every axis but the last is padded by the largest coordinate on it of a
+        # generator that fits, so q + g stays inside q's block whenever q <= hi:
+        # a shift never carries a cell into the next block
+        fitting = [g.coords for g in self.generators if all(map(operator.le, g.coords, hi))]
+        pads = [max(c) for c in zip(*fitting)] if fitting else [0] * len(hi)
+        self._widths = [h + 1 + pad for h, pad in zip(hi[:-1], pads)] + [hi[-1] + 1]
+        # place values of the axes; the last one is the number of padded cells
+        self._strides = list(accumulate(self._widths, operator.mul, initial=1))
         cells = self._strides[-1]
         # per axis, one bit at the start of every block of the axes up to it
         self._repeats = [_repeat_mask(s, cells) for s in self._strides[1:]]
-        self._offsets = [self._index(g) for g in self.generators]
+        self._inside = self._box_mask([0] * len(hi), hi)
+        # the index offset of each generator that fits; one past hi is never
+        # walked back along, so its offset is 0
+        self._shifts = {c: sum(map(operator.mul, c, self._strides)) for c in fitting}
+        self._offsets = [self._shifts.get(g.coords, 0) for g in self.generators]
         planes = [0] * len(self.generators).bit_length()
         reach = 1  # bit 0, the origin, is the empty sum
         for k, g in enumerate(self.generators, 1):
@@ -151,10 +164,11 @@ class ReachableSet(Set):
                 if k >> j & 1:
                     planes[j] |= new
             reach = nxt
-        bits = reach & self._box_mask(box.lo.coords, box.hi.coords)
-        self._len = bits.bit_count()
+        if any(box.lo.coords):
+            reach &= self._box_mask(box.lo.coords, hi)
+        self._len = reach.bit_count()
         size = cells // 8 + 1
-        self._bytes = bits.to_bytes(size, "little")  # one bytes view for every bit test
+        self._bytes = reach.to_bytes(size, "little")  # one bytes view for every bit test
         for j, plane in enumerate(planes):
             planes[j] = plane.to_bytes(size, "little")
         self._planes: list[bytes] = planes[::-1]  # most significant bit first
@@ -185,10 +199,10 @@ class ReachableSet(Set):
                     yield Point((x,) + rest if x < width else self._coords(8 * base + bit))
 
     def _index(self, p: Point) -> int:
-        return sum(c * s for c, s in zip(p.coords, self._strides))
+        return sum(map(operator.mul, p.coords, self._strides))
 
     def _coords(self, i: int) -> tuple[int, ...]:
-        return tuple(i // s % (h + 1) for s, h in zip(self._strides, self.box.hi.coords))
+        return tuple(i // s % w for s, w in zip(self._strides, self._widths))
 
     def _box_mask(self, lo: Sequence[int], hi: Sequence[int]) -> int:
         """Bits of the cells q with lo <= q <= hi, by block repetition along each axis."""
@@ -199,20 +213,21 @@ class ReachableSet(Set):
         return mask
 
     def _include(self, reach: int, g: Point) -> int:
-        """One shift-or DP step: every reached cell q with q + g <= hi also reaches q + g."""
-        hi = self.box.hi.coords
-        fit = self._box_mask([0] * len(hi), [h - c for h, c in zip(hi, g.coords)])
-        return reach | (reach & fit) << self._index(g)
+        """One DP step: every reached cell q with q + g <= hi also reaches q + g.
+        The padding keeps each shifted cell in its block, so one AND with the
+        box drops the sums past hi."""
+        offset = self._shifts.get(g.coords)  # None for a generator past hi
+        return reach if offset is None else (reach | reach << offset) & self._inside
 
     def row(self, y: int) -> int:
         """The cells (0..hi_x, y) of a 2D set as one int, bit x for cell (x, y);
         0 for a row outside the box."""
         if self.box.dim != 2:
             raise ValidationError(f"row needs a 2D set, got {self.box.dim}D")
-        width = self._strides[1]
+        width = self.box.hi.coords[0] + 1
         if not 0 <= y <= self.box.hi.coords[1]:
             return 0
-        start = y * width
+        start = y * self._strides[1]
         chunk = self._bytes[start >> 3 : ((start + width) >> 3) + 1]
         return int.from_bytes(chunk, "little") >> (start & 7) & ((1 << width) - 1)
 
@@ -233,7 +248,7 @@ class ReachableSet(Set):
         while k := self._first_reach(i):
             members.append(self.generators[k - 1])
             i -= self._offsets[k - 1]
-        return Representation(tuple(sorted(members, key=_COORDS)), p)
+        return Representation(tuple(sorted(members, key=COORDS)), p)
 
     def witnesses(self) -> Iterator[tuple[Point, Representation]]:
         """(p, witness(p)) for every point, in iteration order.  One memo, local
@@ -251,17 +266,13 @@ class ReachableSet(Set):
             for cell, k in reversed(path):
                 members += (self.generators[k - 1],)
                 memo[cell] = members
-            yield p, Representation(tuple(sorted(members, key=_COORDS)), p)
+            yield p, Representation(tuple(sorted(members, key=COORDS)), p)
 
 
 def _bit(view: bytes, i: int) -> int:
     """Bit i of a little-endian bytes view of a bitset."""
     return view[i >> 3] >> (i & 7) & 1
 
-
-# Point's dataclass order compares (coords,), so this key sorts Points in the
-# same order without a generated __lt__ call per comparison
-_COORDS = operator.attrgetter("coords")
 
 # the set bit positions of each byte value, for iterating a bitset bytewise
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]

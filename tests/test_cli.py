@@ -306,6 +306,7 @@ class TestExitCodes:
         [
             (["selftest", "--criteria", "13"], None, None),
             (["selftest", "--criteria", "1,x"], None, None),
+            (["selftest", "--criteria", ""], None, None),
             (["gap", "build", "--A", "a.json", "--B", "b.json", "--L", "3,x"], None, None),
             (["gap", "build", "--A", "nested.json", "--B", "b.json", "--L", "3"], None, None),
             (["gap", "five-squares", "--lo", "30", "--hi", "30"], "abc", None),
@@ -332,6 +333,7 @@ class TestExitCodes:
         ids=[
             "unknown-criterion",
             "bad-criteria",
+            "empty-criteria",
             "bad-lengths",
             "nested-array",
             "bad-env-cap",
@@ -640,7 +642,7 @@ def _joined(sep, strategy):
 def _runs_criterion_12(criteria: str) -> bool:
     """Whether `selftest --criteria` would run criterion 12, which starts a child interpreter."""
     try:
-        return not criteria or 12 in [int(v) for v in criteria.split(",")]
+        return 12 in [int(v) for v in criteria.split(",")]
     except ValueError:
         return False
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from fslattice.core import (
     Box,
@@ -49,6 +50,65 @@ class TestGeneratorSet:
     def test_json_round_trip(self):
         gs = GeneratorSet.of([Point((1, 2)), Point((2, 1))])
         assert GeneratorSet.from_json(gs.to_json()) == gs
+
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            # the zero vector comes before the point of another dimension
+            ([(0, 0), (1, 2, 3)], "generator set may not contain the zero vector"),
+            ([(1, 2, 3), (0, 0)], "generator set mixes dimensions"),
+            ([(1, 2), (0, 0), (0, 0)], "generator set may not contain the zero vector"),
+            # a duplicate after an unordered pair: the duplicate is named, not the order
+            ([(2, 1), (1, 2), (2, 1)], "duplicate generator (2,1)"),
+            ([(1, 2), (1, 2), (0, 0)], "duplicate generator (1,2)"),
+            ([(2, 1), (1, 2)], "generators must be in canonical (lexicographic) order"),
+            ([(1,), (3,), (2,)], "generators must be in canonical (lexicographic) order"),
+        ],
+        ids=[
+            "zero-first",
+            "mixed-first",
+            "zero-twice",
+            "duplicate-after-unordered",
+            "duplicate-then-zero",
+            "unordered-pair",
+            "unordered-1d",
+        ],
+    )
+    def test_first_fault_names_the_error(self, coords, message):
+        with pytest.raises(ValidationError) as exc:
+            GeneratorSet(tuple(Point(c) for c in coords))
+        assert str(exc.value) == message
+
+    @given(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=2).map(tuple), max_size=6))
+    def test_errors_are_the_per_element_checks(self, coords):
+        # the element-by-element checks the set made before it compared tuples
+        expected, seen = None, set()
+        for c in coords:
+            if len(c) != len(coords[0]):
+                expected = "generator set mixes dimensions"
+            elif not any(c):
+                expected = "generator set may not contain the zero vector"
+            elif c in seen:
+                expected = f"duplicate generator {Point(c)}"
+            if expected:
+                break
+            seen.add(c)
+        else:
+            if coords != sorted(coords):
+                expected = "generators must be in canonical (lexicographic) order"
+        try:
+            gs = GeneratorSet(tuple(Point(c) for c in coords))
+        except ValidationError as exc:
+            assert str(exc) == expected
+        else:
+            assert expected is None
+            assert all(Point(c) in gs for c in coords)
+
+    def test_membership_is_of_points(self):
+        gs = GeneratorSet.of([Point((1, 2))])
+        assert Point((1, 2)) in gs
+        assert Point((2, 1)) not in gs and (1, 2) not in gs
+        assert len(GeneratorSet(())) == 0
 
 
 class TestValidateRepresentation:

@@ -1,6 +1,8 @@
 import random
 import tracemalloc
+import operator
 from itertools import combinations, product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +182,41 @@ def sets_and_boxes(draw, max_dim: int = 4):
     hi = draw(_coords(dim, bound))
     lo = tuple(draw(st.integers(min_value=0, max_value=h)) for h in hi)
     return GeneratorSet.of(Point(t) for t in coords), Box(Point(lo), Point(hi))
+
+
+@st.composite
+def padded_cases(draw):
+    """A box in 1 to 4 dimensions and nonzero generators in the order the DP
+    adds them: some with a coordinate at hi (the widest pad), at most one past hi."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    bound = {1: 12, 2: 6, 3: 3, 4: 2}[dim]
+    hi = draw(_coords(dim, bound))
+    lo = tuple(draw(st.integers(min_value=0, max_value=h)) for h in hi)
+
+    def with_axis(coords, axis, value):
+        return coords[:axis] + (value,) + coords[axis + 1 :]
+
+    axis = st.integers(min_value=0, max_value=dim - 1)
+    inside = st.tuples(*(st.integers(min_value=0, max_value=h) for h in hi))
+    at_hi = st.builds(lambda c, a: with_axis(c, a, hi[a]), inside, axis)
+    gens = draw(st.lists((inside | at_hi).filter(any), max_size=7, unique=True))
+    if draw(st.booleans()):
+        step = st.integers(min_value=1, max_value=3)
+        past = st.builds(lambda c, a, d: with_axis(c, a, hi[a] + d), _coords(dim, bound), axis, step)
+        gens.insert(draw(st.integers(min_value=0, max_value=len(gens))), draw(past))
+    return Box(Point(lo), Point(hi)), [Point(g) for g in gens]
+
+
+def first_reach(hi: tuple[int, ...], gens: list) -> dict:
+    """Cell -> the stage that first reached it, for the cells of [0, hi] that
+    adding gens in order, each included or not, reaches; 0 for the origin."""
+    first = {(0,) * len(hi): 0}
+    for k, g in enumerate(gens, 1):
+        for q in list(first):  # the cells of stage k - 1
+            s = tuple(map(operator.add, q, g.coords))
+            if s not in first and all(map(operator.le, s, hi)):
+                first[s] = k
+    return first
 
 
 class TestMembershipSearch:
@@ -446,6 +483,31 @@ class TestReachableSet:
             expected = sum(1 << x for x in range(hx + 1) if Point((x, y)) in reach)
             assert reach.row(y) == expected
         assert reach.row(-1) == reach.row(hy + 1) == 0
+
+    @settings(deadline=None, max_examples=150)
+    @given(padded_cases())
+    def test_padded_layout_is_the_brute_force_set(self, case):
+        box, gens = case
+        reach = ReachableSet(box, gens)
+        first = first_reach(box.hi.coords, gens)
+        expected = sorted((q for q in first if box.contains(Point(q))), key=lambda q: q[::-1])
+        assert [p.coords for p in reach] == expected  # axis 0 fastest
+        assert len(reach) == len(expected)
+        wanted = set(expected)
+        for p in box.points_lex():
+            assert (p in reach) == (p.coords in wanted)
+        for q in expected:
+            members, cell = [], q
+            while k := first[cell]:
+                members.append(gens[k - 1].coords)
+                cell = tuple(map(operator.sub, cell, gens[k - 1].coords))
+            assert [m.coords for m in reach.witness(Point(q)).members] == sorted(members)
+        cells = prod(h + 1 for h in box.hi.coords)
+        assert len(reach._bytes) * 8 <= 2 ** (box.dim - 1) * cells + 8
+        if box.dim == 2:
+            hx, hy = box.hi.coords
+            for y in range(-1, hy + 2):
+                assert reach.row(y) == sum(1 << x for x in range(hx + 1) if (x, y) in wanted)
 
     def test_row_needs_two_dimensions(self):
         reach = fs_enumerate(GeneratorSet.of([Point((1, 1, 1))]), Box(Point.zero(3), Point((2, 2, 2))))
