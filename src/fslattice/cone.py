@@ -17,12 +17,14 @@ integer numerators over the (positive) determinant, never floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
 from .core import (
+    COORDS,
     Box,
     DepthError,
     DomainError,
@@ -94,11 +96,12 @@ class ConeSpec:
 
     def coeff_numerators(self, p: Point) -> tuple[tuple[int, ...], int]:
         """Barycentric numerators of p over the common positive denominator."""
-        if p.dim != self.k:
+        coords = p.coords
+        if len(coords) != len(self.v):
             raise ValidationError("point/cone dimension mismatch")
         den: int = self._den  # type: ignore[attr-defined]
         num = self._num  # type: ignore[attr-defined]
-        return tuple(sum(num[r][c] * p.coords[c] for c in range(self.k)) for r in range(self.k)), den
+        return tuple(sum(map(operator.mul, row, coords)) for row in num), den
 
     def in_cone(self, p: Point) -> bool:
         nums, _ = self.coeff_numerators(p)
@@ -259,7 +262,7 @@ def decompose(spec: ConeSpec, X: ThinGeneratorSet, v: Point) -> Representation:
     raises DepthError.
     """
     counts = _floors(spec, v)
-    if v.is_zero:
+    if not any(v.coords):
         raise DomainError("cannot decompose the origin")
     if v in X.seed:
         return Representation((v,), v)
@@ -270,14 +273,13 @@ def decompose(spec: ConeSpec, X: ThinGeneratorSet, v: Point) -> Representation:
             f"ray depth {X.depth} too small; need depth {required} for {v}",
             required_depth=required,
         )
-    residual = Point(tuple(
-        x - sum(c * g.coords[i] for c, g in zip(counts, spec.v))
-        for i, x in enumerate(v.coords)
-    ))
-    members = [] if residual.is_zero else [residual]
+    # axis i of the residual: v[i] - sum_l c_l v_l[i]; a Point only when nonzero
+    axes = zip(*(g.coords for g in spec.v))
+    residual = tuple(x - sum(map(operator.mul, counts, axis)) for x, axis in zip(v.coords, axes))
+    members = [Point(residual)] if any(residual) else []
     for ray, c in zip(X.rays, counts):
         members.extend(ray[j] for j in range(c.bit_length()) if c >> j & 1)
-    return Representation(tuple(sorted(members)), v)
+    return Representation(tuple(sorted(members, key=COORDS)), v)
 
 
 def check_window(spec: ConeSpec, limit: int) -> tuple[ThinGeneratorSet, int, list[Point]]:

@@ -92,6 +92,17 @@ class Point:
 
     @classmethod
     def from_json(cls, data: Sequence[int]) -> "Point":
+        # one pass checks each coordinate for both rules, int_array's exact int
+        # and __post_init__'s sign; any fault goes the checked way, so the
+        # message is the one that check gives
+        if isinstance(data, (list, tuple)) and data:
+            for v in data:
+                if type(v) is not int or v < 0:
+                    break
+            else:
+                point = object.__new__(cls)
+                object.__setattr__(point, "coords", tuple(data))
+                return point
         return cls(tuple(int_array(data, "a point")))
 
     def __str__(self) -> str:
@@ -211,14 +222,16 @@ class Representation:
 
 def validate_representation(r: Representation) -> bool:
     """True iff members are pairwise distinct and sum exactly to the target."""
-    dim = r.target.dim
-    for m in r.members:
-        if m.dim != dim:
-            raise ValidationError("member/target dimension mismatch")
-    if len(set(r.members)) != len(r.members):
+    target = r.target.coords
+    # Point equality and hash are those of coords, so distinct tuples are
+    # distinct Points
+    members = [m.coords for m in r.members]
+    if not set(map(len, members)) <= {len(target)}:
+        raise ValidationError("member/target dimension mismatch")
+    if len(set(members)) != len(members):
         return False
     # column i holds the target's coordinate i, then each member's
-    columns = zip(r.target.coords, *(m.coords for m in r.members))
+    columns = zip(target, *members)
     return all(t == sum(col) for t, *col in columns)
 
 

@@ -80,15 +80,13 @@ def dyadic_represent(a: int, b: int) -> Representation:
     swapped = b > a
     if swapped:
         a, b = b, a
-    n = bin(a).count("1")
-    m = bin(b).count("1")
-    b_terms = [1 << i for i in reversed(bit_positions(b))]
-    a_terms = [1 << i for i in reversed(bit_positions(a))]
+    n = a.bit_count()
+    m = b.bit_count()
     if n <= m:
         firsts = split_to_terms(a, m)  # repetition allowed on the left
-        seconds = b_terms  # m distinct powers on the right
+        seconds = [1 << i for i in reversed(bit_positions(b))]  # m distinct powers on the right
     else:
-        firsts = a_terms  # n distinct powers on the left
+        firsts = [1 << i for i in reversed(bit_positions(a))]  # n distinct powers on the left
         seconds = split_to_terms(b, n)
     pairs = list(zip(firsts, seconds))
     if swapped:
@@ -96,7 +94,8 @@ def dyadic_represent(a: int, b: int) -> Representation:
         target = Point((b, a))
     else:
         target = Point((a, b))
-    members = tuple(sorted(Point(pair) for pair in pairs))
+    # int pairs sort as their Points do, without a generated __lt__ per comparison
+    members = tuple(map(Point, sorted(pairs)))
     return Representation(members, target)
 
 

@@ -127,17 +127,17 @@ def crit_grid_coverage(seed: int, cell_cap: int) -> dict:
     oracle_misses = []
     witness_failures = []
     outside_e = 0
+    rows = [reach.row(b) for b in range(65)]  # bit a of rows[b]: is (a, b) reachable
     for a in range(1, 65):
         for b in range(1, 65):
-            p = Point((a, b))
             if dyadic.in_exceptional(a, b):
                 continue
             outside_e += 1
             rep = dyadic.dyadic_represent(a, b)
             if not validate_representation(rep):
-                represent_failures.append(str(p))
-            if p not in reach.points:
-                oracle_misses.append(str(p))
+                represent_failures.append(f"({a},{b})")
+            if not rows[b] >> a & 1:
+                oracle_misses.append(f"({a},{b})")
     for p, rep in reach.witnesses():
         if not validate_representation(rep):
             witness_failures.append(str(p))
@@ -387,8 +387,10 @@ def run_criteria(
     process while it runs; criterion 12 compares their bytes with the child's,
     and only the wanted results are returned."""
     wanted = list(ids) if ids is not None else [cid for cid, _, _ in CRITERIA]
-    for cid in wanted:
-        _entry(cid)  # an unknown id fails before any work
+    for i, cid in enumerate(wanted):
+        _entry(cid)  # an unknown or repeated id fails before any work
+        if cid in wanted[:i]:
+            raise ValueError(f"criterion {cid} is asked for twice")
     if 12 not in wanted:
         return [run_criterion(cid, seed, cell_cap) for cid in wanted]
     child = _start_child(seed, cell_cap)

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from fslattice import cone, dyadic, oracle
 from fslattice.cli import main
+from fslattice.core import Point, Representation
 from fslattice.selftest import CRITERIA, payload_of, run_criteria, run_criterion
 
 _IDS = [f"{cid:02d}-{name.replace(' ', '-')}" for cid, name, _ in CRITERIA]
@@ -26,6 +28,52 @@ def test_criterion(cid, name):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {cid:2d}: {name} ({result.elapsed:.2f}s)")
     assert result.passed, f"criterion {cid} ({name}) failed: {result.details}"
+
+
+# planted faults: criteria 1 and 4 must still see one bad point among thousands
+PLANTED = (5, 3)  # outside E, inside the 64 x 64 grid of criterion 4
+
+
+def test_grid_coverage_catches_a_wrong_sum(monkeypatch):
+    real = dyadic.dyadic_represent
+
+    def represent(a, b):
+        rep = real(a, b)
+        return Representation(rep.members[1:], rep.target) if (a, b) == PLANTED else rep
+
+    monkeypatch.setattr(dyadic, "dyadic_represent", represent)
+    result = run_criterion(4, seed=0)
+    assert not result.passed
+    assert result.details["represent_failures"] == ["(5,3)"]
+    assert result.details["oracle_misses"] == []
+
+
+def test_grid_coverage_catches_an_oracle_miss(monkeypatch):
+    real = oracle.ReachableSet.row
+    a, b = PLANTED
+
+    def row(self, y):
+        return real(self, y) & ~(1 << a) if y == b else real(self, y)
+
+    monkeypatch.setattr(oracle.ReachableSet, "row", row)
+    result = run_criterion(4, seed=0)
+    assert not result.passed
+    assert result.details["oracle_misses"] == ["(5,3)"]
+    assert result.details["represent_failures"] == []
+
+
+def test_cone_completeness_catches_a_non_member(monkeypatch):
+    # (9,18) = 9 * (1,2) sums right but is neither a seed point nor a ray element 2^j v_l
+    outsider = Point((9, 18))
+    real = cone.decompose
+
+    def decompose(spec, X, v):
+        return Representation((v,), v) if v == outsider else real(spec, X, v)
+
+    monkeypatch.setattr(cone, "decompose", decompose)
+    result = run_criterion(1, seed=0)
+    assert not result.passed
+    assert result.details["decompose_failures"] == ["(9,18)"]
 
 
 # sha256 of the sorted-key JSON payload of criteria 1-11, which criterion 12

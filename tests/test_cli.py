@@ -307,11 +307,14 @@ class TestExitCodes:
             (["selftest", "--criteria", "13"], None, None),
             (["selftest", "--criteria", "1,x"], None, None),
             (["selftest", "--criteria", ""], None, None),
+            (["selftest", "--criteria", "2,2"], None, None),
+            (["selftest", "--criteria", "12,12"], None, None),
             (["gap", "build", "--A", "a.json", "--B", "b.json", "--L", "3,x"], None, None),
             (["gap", "build", "--A", "nested.json", "--B", "b.json", "--L", "3"], None, None),
             (["gap", "five-squares", "--lo", "30", "--hi", "30"], "abc", None),
             (["gap", "five-squares", "--lo", "30", "--hi", "30"], None, {"cell_cap": "5"}),
             (["fs", "check", "--generators", "deep.json", "--target", "1,1"], None, None),
+            (["fs", "check", "--generators", "newline.json", "--target", "1,1"], None, None),
             (["--config", "deep.json", "gap", "five-squares", "--lo", "30", "--hi", "30"], None, None),
             (["gap", "five-squares", "--lo", "30", "--hi", "30"], None, 5),
             (["cone", "decompose", "--spec", "spec-array.json", "--point", "3,3"], None, None),
@@ -334,11 +337,14 @@ class TestExitCodes:
             "unknown-criterion",
             "bad-criteria",
             "empty-criteria",
+            "repeated-criterion",
+            "repeated-criterion-12",
             "bad-lengths",
             "nested-array",
             "bad-env-cap",
             "string-config",
             "deep-generators",
+            "newline-in-message",
             "deep-config",
             "non-object-config",
             "cone-decompose-array",
@@ -363,6 +369,7 @@ class TestExitCodes:
         write_json(tmp_path / "b.json", [1, 2])
         write_json(tmp_path / "nested.json", [[1, 2], [3]])
         (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        write_json(tmp_path / "newline.json", ["\n"])
         write_json(tmp_path / "spec-array.json", [[1, 2], [2, 1]])
         write_json(tmp_path / "spec-no-v.json", {"w": 1})
         write_json(tmp_path / "spec-v-int.json", {"v": 5})

@@ -7,6 +7,7 @@ from fslattice.core import (
     Point,
     Representation,
     ValidationError,
+    int_array,
     parse_point,
     validate_representation,
 )
@@ -32,6 +33,60 @@ class TestPoint:
         assert parse_point("9,18") == Point((9, 18))
         with pytest.raises(ValidationError):
             parse_point("9,x")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ([1, True], "a point must be an array of integers, got [1, True]"),
+            ([2, -1], "coordinates must be nonnegative integers, got -1"),
+            ([1.0, 2], "a point must be an array of integers, got [1.0, 2]"),
+            ([[1], 2], "a point must be an array of integers, got [[1], 2]"),
+            ([], "point needs at least one coordinate"),
+            ("12", "a point must be an array of integers, got 12"),
+            ({"x": 1}, "a point must be an array of integers, got {'x': 1}"),
+            # the type fault is named before the sign fault, wherever it sits
+            ([-1, 1.5], "a point must be an array of integers, got [-1, 1.5]"),
+        ],
+        ids=["bool", "negative", "float", "nested", "empty", "string", "object", "negative-then-float"],
+    )
+    def test_from_json_messages(self, data, message):
+        with pytest.raises(ValidationError) as exc:
+            Point.from_json(data)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            ((2, -1), "coordinates must be nonnegative integers, got -1"),
+            ((1.0, 2), "coordinates must be nonnegative integers, got 1.0"),
+            (([1], 2), "coordinates must be nonnegative integers, got [1]"),
+            ((), "point needs at least one coordinate"),
+        ],
+        ids=["negative", "float", "nested", "empty"],
+    )
+    def test_constructor_messages(self, coords, message):
+        with pytest.raises(ValidationError) as exc:
+            Point(coords)
+        assert str(exc.value) == message
+
+    def test_constructor_takes_bools_and_from_json_does_not(self):
+        assert Point((True, 0)).coords == (True, 0)
+        with pytest.raises(ValidationError):
+            Point.from_json([True, 0])
+
+    @given(st.lists(st.integers(-2, 3) | st.booleans() | st.floats(0, 3), max_size=3) | st.tuples(st.integers(0, 3)))
+    def test_from_json_is_the_checked_constructor(self, data):
+        # the definition: int_array's exact-int check, then Point's own checks
+        try:
+            expected = Point(tuple(int_array(data, "a point")))
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                Point.from_json(data)
+            assert str(got.value) == str(exc)
+        else:
+            got = Point.from_json(data)
+            assert got == expected and type(got.coords) is tuple
+            assert hash(got) == hash(expected) and str(got) == str(expected)
 
 
 class TestGeneratorSet:
@@ -131,6 +186,40 @@ class TestValidateRepresentation:
         r = Representation((Point((1,)),), Point((1, 0)))
         with pytest.raises(ValidationError):
             validate_representation(r)
+
+    @staticmethod
+    def point_definition(r):
+        """The check on Points, kept as the reference for the one on tuples."""
+        for m in r.members:
+            if m.dim != r.target.dim:
+                raise ValidationError("member/target dimension mismatch")
+        if len(set(r.members)) != len(r.members):
+            return False
+        total = tuple(sum(col) for col in zip(*(m.coords for m in r.members))) or (0,) * r.target.dim
+        return total == r.target.coords
+
+    @given(st.data())
+    def test_matches_the_point_definition(self, data):
+        dim = data.draw(st.integers(1, 4))
+        coords = st.lists(st.integers(0, 3), min_size=dim, max_size=dim).map(tuple)
+        members = data.draw(st.lists(coords, max_size=5))
+        if members and data.draw(st.booleans()):
+            members.append(members[0])  # a duplicate
+        if data.draw(st.booleans()):
+            other = data.draw(st.integers(1, 4).filter(lambda d: d != dim))
+            members.insert(data.draw(st.integers(0, len(members))), (1,) * other)
+        target = tuple(map(sum, zip(*members))) if members and data.draw(st.booleans()) else None
+        if target is None or len(target) != dim:
+            target = data.draw(coords)  # mostly a wrong sum
+        r = Representation(tuple(map(Point, members)), Point(target))
+        try:
+            expected = self.point_definition(r)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                validate_representation(r)
+            assert str(got.value) == str(exc)
+        else:
+            assert validate_representation(r) is expected
 
 
 class TestRegions:

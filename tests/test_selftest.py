@@ -183,6 +183,21 @@ def test_unknown_criterion_starts_no_child(monkeypatch, stub_batch):
     assert popen.calls == []
 
 
+@pytest.mark.parametrize("ids", [[12, 12], [2, 2], [1, 12, 1]])
+def test_repeated_criterion_runs_nothing(monkeypatch, stub_batch, ids):
+    popen = RecordingPopen(stub_batch)
+    monkeypatch.setattr(subprocess, "Popen", popen)
+
+    def never(seed, cell_cap):
+        raise AssertionError("a criterion ran")
+
+    never_run = [(cid, name, never) for cid, name, _ in selftest.CRITERIA[:11]]
+    monkeypatch.setattr(selftest, "CRITERIA", never_run + selftest.CRITERIA[11:])
+    with pytest.raises(ValueError, match=f"criterion {ids[0]} is asked for twice"):
+        selftest.run_criteria(0, 4096, ids)
+    assert popen.calls == []
+
+
 def test_criterion_12_alone_passes_and_lists_only_itself(capsys):
     assert main(["selftest", "--criteria", "12"]) == 0
     payload = json.loads(capsys.readouterr().out)
