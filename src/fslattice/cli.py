@@ -431,8 +431,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"resource error: {exc}\n")
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:  # ValidationError, DomainError, JSON errors, paths
-        # one line, also when the message quotes input that holds a newline
-        sys.stderr.write("error: " + str(exc).replace("\n", "\\n") + "\n")
+        sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN
 
 

@@ -92,17 +92,6 @@ class Point:
 
     @classmethod
     def from_json(cls, data: Sequence[int]) -> "Point":
-        # one pass checks each coordinate for both rules, int_array's exact int
-        # and __post_init__'s sign; any fault goes the checked way, so the
-        # message is the one that check gives
-        if isinstance(data, (list, tuple)) and data:
-            for v in data:
-                if type(v) is not int or v < 0:
-                    break
-            else:
-                point = object.__new__(cls)
-                object.__setattr__(point, "coords", tuple(data))
-                return point
         return cls(tuple(int_array(data, "a point")))
 
     def __str__(self) -> str:
@@ -117,7 +106,7 @@ COORDS = operator.attrgetter("coords")
 def int_array(data: object, what: str) -> list[int]:
     """Decoded JSON checked to be an array of integers (booleans excluded)."""
     if not isinstance(data, (list, tuple)) or not all(type(v) is int for v in data):
-        raise ValidationError(f"{what} must be an array of integers, got {str(data)[:40]}")
+        raise ValidationError(f"{what} must be an array of integers, got {repr(data)[:40]}")
     return list(data)
 
 

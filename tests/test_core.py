@@ -42,7 +42,7 @@ class TestPoint:
             ([1.0, 2], "a point must be an array of integers, got [1.0, 2]"),
             ([[1], 2], "a point must be an array of integers, got [[1], 2]"),
             ([], "point needs at least one coordinate"),
-            ("12", "a point must be an array of integers, got 12"),
+            ("12", "a point must be an array of integers, got '12'"),
             ({"x": 1}, "a point must be an array of integers, got {'x': 1}"),
             # the type fault is named before the sign fault, wherever it sits
             ([-1, 1.5], "a point must be an array of integers, got [-1, 1.5]"),
