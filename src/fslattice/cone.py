@@ -8,7 +8,9 @@ decomposition is closed form: flooring the barycentric coefficients leaves a
 residual in the seed, and the binary digits of the floors pick distinct ray
 elements, so the ray depth a point needs (`required_depth`) is known before X
 is built.  `check_window` decomposes every cone point of a box against one X.
-`peel` and the cover indices keep the paper's covering lemmas.
+`peel` and the cover indices keep the paper's covering lemmas, and all three
+take one integer step, `face_cover_index`: the face point nums / sum(nums)
+has a coordinate l reaching lam = p/q iff nums[l]*q >= p*sum(nums).
 
 All membership predicates are exact: barycentric coordinates are kept as
 integer numerators over the (positive) determinant, never floats.
@@ -60,6 +62,18 @@ def _invert_exact(matrix: list[list[int]]) -> tuple[list[list[Fraction]], Fracti
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
                 inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
     return inv, det
+
+
+class OutsideConeError(DomainError):
+    """A point outside the cone.  The message is formatted only when shown:
+    check_window meets thousands of these and never shows one."""
+
+    def __init__(self, point: Point):
+        super().__init__(point)
+        self.point = point
+
+    def __str__(self) -> str:
+        return f"{self.point} is not in the cone"
 
 
 @dataclass(frozen=True)
@@ -117,36 +131,36 @@ class ConeSpec:
         return cls(tuple(Point.from_json(p) for p in data["v"]))
 
 
-def face_cover_index(a: Sequence[Fraction], lam: Fraction) -> int:
-    """Smallest index l with a_l >= lam, for coordinates summing to 1.
+def face_cover_index(nums: Sequence[int], p: int, q: int) -> int:
+    """Smallest index l with nums[l]*q >= p*sum(nums): the first coordinate of
+    the face point nums / sum(nums) that reaches lam = p/q.
 
     This is the pigeonhole step behind the face covering: with lam <= 1/k some
     coordinate must clear the threshold, and subtracting lam from it keeps the
     point inside the simplex.
     """
-    k = len(a)
-    if sum(a, Fraction(0)) != 1:
-        raise ValidationError("face point must have coordinate sum exactly 1")
-    if lam > Fraction(1, k):
-        raise DomainError(f"lambda {lam} exceeds 1/{k}")
-    for l, x in enumerate(a):
-        if x >= lam:
+    k, s = len(nums), sum(nums)
+    if any(x < 0 for x in nums) or s == 0:
+        raise ValidationError("face point needs nonnegative numerators with a positive sum")
+    if p * k > q:
+        raise DomainError(f"lambda {p}/{q} exceeds 1/{k}")
+    for l, x in enumerate(nums):
+        if x * q >= p * s:
             return l
     raise AssertionError("unreachable: some coordinate is >= 1/k >= lambda")
 
 
-def simplex_cover_index(b: Sequence[Fraction], lam: Fraction) -> int:
-    """Index l such that b - lam*e_l lies in the unit simplex.
+def simplex_cover_index(nums: Sequence[int], den: int, p: int, q: int) -> int:
+    """Index l such that b - lam*e_l lies in the unit simplex, for b = nums/den
+    and lam = p/q.
 
-    `b` are coordinates of a point of the (1+lam)-scaled simplex that is not in
-    the unit simplex (1 < sum b <= 1+lam); the index comes from normalizing to
-    the face and reusing face_cover_index.
+    b must lie in the (1+lam)-scaled simplex but not in the unit one
+    (1 < sum b <= 1+lam); the index is the face step on b normalized to the
+    face, whose numerators are nums again.
     """
-    total = sum(b, Fraction(0))
-    if not 1 < total <= 1 + lam:
+    if not q * den < q * sum(nums) <= (q + p) * den:
         raise DomainError("point must lie strictly between the simplex and its dilation")
-    c = [x / total for x in b]
-    return face_cover_index(c, lam)
+    return face_cover_index(nums, p, q)
 
 
 @dataclass(frozen=True)
@@ -219,7 +233,7 @@ def peel(spec: ConeSpec, v: Point, layer: Optional[int] = None) -> tuple[int, Po
     k = spec.k
     nums, den = spec.coeff_numerators(v)
     if any(x < 0 for x in nums):
-        raise DomainError(f"{v} is not in the cone")
+        raise OutsideConeError(v)
     s = sum(nums)
     if s <= k * den:
         raise DomainError(f"{v} is already in the base simplex; nothing to peel")
@@ -228,19 +242,16 @@ def peel(spec: ConeSpec, v: Point, layer: Optional[int] = None) -> tuple[int, Po
         raise DomainError(
             f"{v} has coefficient sum in layer {computed_layer}, not {layer}"
         )
-    i = computed_layer
-    # c_l >= 1/(k+i)  <=>  nums[l]*(k+i) >= s   (all terms integer)
-    for l in range(k):
-        if nums[l] * (k + i) >= s:
-            return l, v - spec.v[l]
-    raise AssertionError("unreachable: face covering always yields an index")
+    # the face step at lam = 1/(k+i): nums[l]*(k+i) >= s
+    l = face_cover_index(nums, 1, k + computed_layer)
+    return l, v - spec.v[l]
 
 
 def _floors(spec: ConeSpec, v: Point) -> list[int]:
     """The floors of v's barycentric coefficients; DomainError outside the cone."""
     nums, den = spec.coeff_numerators(v)
     if any(x < 0 for x in nums):
-        raise DomainError(f"{v} is not in the cone")
+        raise OutsideConeError(v)
     return [x // den for x in nums]
 
 
@@ -292,8 +303,8 @@ def check_window(spec: ConeSpec, limit: int) -> tuple[ThinGeneratorSet, int, lis
     default_depth(spec, corner) - 2.  Returns X, the number of cone points
     checked, and the points whose decomposition raises DepthError, fails
     validate_representation or uses a non-member of X.  Each point's
-    numerators are computed once, in decompose, whose DomainError marks a
-    point outside the cone.
+    numerators are computed once, in decompose, whose OutsideConeError marks
+    a point outside the cone.
     """
     corner = Point((limit,) * spec.k)
     X = build_thin_generators(spec, default_depth(spec, corner))
@@ -304,11 +315,11 @@ def check_window(spec: ConeSpec, limit: int) -> tuple[ThinGeneratorSet, int, lis
             continue
         try:
             rep = decompose(spec, X, p)
-        except DepthError:  # a DomainError too, so caught first
+        except DepthError:
             checked += 1
             failures.append(p)
             continue
-        except DomainError:  # outside the cone
+        except OutsideConeError:
             continue
         checked += 1
         if not validate_representation(rep) or not all(m in X for m in rep.members):

@@ -381,39 +381,19 @@ def dense_rectangle(
     )
 
 
-def _min_square_sum(t: int) -> int:
-    """Sum of the t smallest positive squares."""
-    return t * (t + 1) * (2 * t + 1) // 6
-
-
-def _distinct_squares(n: int, t: int, max_root: int) -> Optional[list[int]]:
-    """t distinct roots < max_root with squares summing to n, largest-first."""
-    if t == 0:
-        return [] if n == 0 else None
-    if n < _min_square_sum(t):
-        return None
-    hi = min(max_root - 1, math.isqrt(n - _min_square_sum(t - 1)))
-    for r in range(hi, t - 1, -1):
-        rem = n - r * r
-        # the t-1 remaining squares are all below r^2
-        if rem > (t - 1) * (r - 1) * (r - 1):
-            break
-        sub = _distinct_squares(rem, t - 1, r)
-        if sub is not None:
-            return [r] + sub
-    return None
-
-
 def five_squares_check(lo: int, hi: int) -> list[int]:
     """All n in [lo, hi] with no representation as 5 distinct positive squares.
 
     Empty for lo >= 1024; below that threshold failures are expected and the
-    check is still exhaustive.
+    check is still exhaustive.  n is such a sum iff (n, 5) is in
+    FS({(r^2, 1) : r >= 1}), so one include-or-not DP over [0, hi] x [0, 5]
+    decides every n <= hi at once, and its row 5 is read off.  The DP refuses
+    (hi + 1) * 6 cells above DEFAULT_CELL_CAP; bounding the roots by the cap
+    keeps that refusal cheap.
     """
     if lo < 1 or hi < lo:
         raise ValidationError("need 1 <= lo <= hi")
-    failures = []
-    for n in range(lo, hi + 1):
-        if _distinct_squares(n, 5, math.isqrt(n) + 1) is None:
-            failures.append(n)
-    return failures
+    roots = range(1, math.isqrt(min(hi, DEFAULT_CELL_CAP)) + 1)
+    squares = GeneratorSet.of(Point((r * r, 1)) for r in roots)
+    row = fs_enumerate(squares, Box(Point((0, 0)), Point((hi, 5)))).row(5)
+    return [n for n in range(lo, hi + 1) if not row >> n & 1]

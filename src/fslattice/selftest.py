@@ -15,7 +15,6 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Optional, Sequence
 
@@ -80,35 +79,37 @@ def crit_thinness(seed: int, cell_cap: int) -> dict:
     return {"passed": ok, "details": {"seed_size": len(X.seed), "census": rows}}
 
 
+def _shift_lands(nums: Sequence[int], den: int, l: int, p: int, q: int) -> bool:
+    """Whether nums/den - (p/q)*e_l lies in the unit simplex, over den*q."""
+    shifted = [x * q for x in nums]
+    shifted[l] -= p * den
+    return all(x >= 0 for x in shifted) and sum(shifted) <= den * q
+
+
 def crit_cover_lemmas(seed: int, cell_cap: int) -> dict:
     rng = random.Random(seed)
     face_failures = 0
     simplex_failures = 0
     for _ in range(500):
         k = rng.choice([2, 3, 4])
-        raw = [Fraction(rng.randint(0, 1000)) for _ in range(k)]
+        raw = [rng.randint(0, 1000) for _ in range(k)]
         if sum(raw) == 0:
-            raw[0] = Fraction(1)
-        total = sum(raw)
-        a = [x / total for x in raw]
-        lam = Fraction(1, k)
-        l = cone.face_cover_index(a, lam)
-        shifted = list(a)
-        shifted[l] -= lam
-        if not (all(x >= 0 for x in shifted) and sum(shifted) <= 1):
+            raw[0] = 1
+        # the face point raw / total, at lam = 1/k
+        l = cone.face_cover_index(raw, 1, k)
+        if not _shift_lands(raw, sum(raw), l, 1, k):
             face_failures += 1
     for _ in range(500):
         k = rng.choice([2, 3, 4])
-        lam = Fraction(1, k + rng.randint(0, 3))
-        raw = [Fraction(rng.randint(1, 1000)) for _ in range(k)]
+        m = k + rng.randint(0, 3)  # lam = 1/m
+        raw = [rng.randint(1, 1000) for _ in range(k)]
         total = sum(raw)
-        # point of the (1+lam)-dilated simplex strictly outside the unit one
-        scale = 1 + lam * Fraction(rng.randint(1, 1000), 1000)
-        b = [x / total * scale for x in raw]
-        l = cone.simplex_cover_index(b, lam)
-        shifted = list(b)
-        shifted[l] -= lam
-        if not (all(x >= 0 for x in shifted) and sum(shifted) <= 1):
+        # raw / total scaled by 1 + lam*s/1000 = (1000m + s)/(1000m): a point
+        # of the (1+lam)-dilated simplex strictly outside the unit one
+        scale = 1000 * m + rng.randint(1, 1000)
+        b, den = [x * scale for x in raw], total * 1000 * m
+        l = cone.simplex_cover_index(b, den, 1, m)
+        if not _shift_lands(b, den, l, 1, m):
             simplex_failures += 1
     return {
         "passed": face_failures == 0 and simplex_failures == 0,
@@ -312,7 +313,9 @@ def _start_child(seed: int, cell_cap: int):
     own = os.environ.get("PYTHONHASHSEED")
     env = {**os.environ, "PYTHONHASHSEED": "2" if own == "1" else "1"}
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    argv = [sys.executable, "-c", _CHILD_SCRIPT, str(seed), str(cell_cap), src]
+    # -S: the child needs only the stdlib and `src`, so it skips `site`; -I or
+    # -E would also drop PYTHONHASHSEED, which is what the child is for
+    argv = [sys.executable, "-Sc", _CHILD_SCRIPT, str(seed), str(cell_cap), src]
     try:
         return subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     except OSError:

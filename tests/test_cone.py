@@ -60,36 +60,98 @@ class TestBarycentric:
 
 
 class TestFaceCoverIndex:
+    """face_cover_index(nums, p, q): the face point nums / sum(nums), lam = p/q."""
+
     def test_tie_takes_smallest(self):
-        assert cone.face_cover_index([Fraction(1, 2), Fraction(1, 2)], Fraction(1, 2)) == 0
+        assert cone.face_cover_index([1, 1], 1, 2) == 0
 
     def test_pigeonhole(self):
-        assert cone.face_cover_index([Fraction(1, 4), Fraction(3, 4)], Fraction(1, 2)) == 1
+        assert cone.face_cover_index([1, 3], 1, 2) == 1
 
     def test_vertex(self):
-        a = [Fraction(0), Fraction(0), Fraction(1)]
-        assert cone.face_cover_index(a, Fraction(1, 3)) == 2
+        assert cone.face_cover_index([0, 0, 1], 1, 3) == 2
 
     def test_threshold_above_reciprocal_rejected(self):
         with pytest.raises(DomainError):
-            cone.face_cover_index([Fraction(1, 2), Fraction(1, 2)], Fraction(2, 3))
+            cone.face_cover_index([1, 1], 2, 3)
 
-    def test_sum_must_be_one(self):
+    def test_zero_sum_rejected(self):
         with pytest.raises(ValidationError):
-            cone.face_cover_index([Fraction(1, 2), Fraction(1, 4)], Fraction(1, 2))
+            cone.face_cover_index([0, 0], 1, 2)
+
+    def test_negative_numerator_rejected(self):
+        with pytest.raises(ValidationError):
+            cone.face_cover_index([3, -1], 1, 2)
 
 
 class TestSimplexCoverIndex:
     def test_shift_lands_in_unit_simplex(self):
-        b = [Fraction(3, 5), Fraction(11, 20)]  # sum 23/20, within (1, 3/2]
-        l = cone.simplex_cover_index(b, Fraction(1, 2))
-        shifted = list(b)
-        shifted[l] -= Fraction(1, 2)
-        assert all(x >= 0 for x in shifted) and sum(shifted) <= 1
+        nums, den = [12, 11], 20  # 3/5 + 11/20 = 23/20, within (1, 3/2]
+        l = cone.simplex_cover_index(nums, den, 1, 2)
+        shifted = [2 * x for x in nums]  # over 2 * den
+        shifted[l] -= den
+        assert all(x >= 0 for x in shifted) and sum(shifted) <= 2 * den
 
     def test_inside_unit_simplex_rejected(self):
         with pytest.raises(DomainError):
-            cone.simplex_cover_index([Fraction(1, 4), Fraction(1, 4)], Fraction(1, 2))
+            cone.simplex_cover_index([1, 1], 4, 1, 2)
+
+
+def _face_cover_fraction(a, lam):
+    """The covering step on Fraction coordinates summing to 1."""
+    if lam > Fraction(1, len(a)):
+        raise DomainError("lambda exceeds 1/k")
+    return next(l for l, x in enumerate(a) if x >= lam)
+
+
+def _simplex_cover_fraction(b, lam):
+    total = sum(b, Fraction(0))
+    if not 1 < total <= 1 + lam:
+        raise DomainError("not between the simplex and its dilation")
+    return _face_cover_fraction([x / total for x in b], lam)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return "DomainError"
+
+
+@st.composite
+def simplex_inputs(draw):
+    """(nums, den, p, q); half the time den puts nums/den strictly between the
+    unit simplex and its (1 + p/q) dilation, when such a den exists."""
+    nums = draw(st.lists(st.integers(0, 60), min_size=2, max_size=4))
+    p, q = draw(st.integers(1, 6)), draw(st.integers(1, 24))
+    s = sum(nums)
+    lo, hi = -(-q * s // (q + p)), s - 1
+    if 1 <= lo <= hi and draw(st.booleans()):
+        return nums, draw(st.integers(lo, hi)), p, q
+    return nums, draw(st.integers(1, 200)), p, q
+
+
+class TestCoverIndexMatchesFractions:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(0, 60), min_size=2, max_size=4).filter(any),
+        st.integers(1, 6),
+        st.integers(1, 24),
+    )
+    def test_face(self, nums, p, q):
+        a = [Fraction(x, sum(nums)) for x in nums]
+        assert _outcome(cone.face_cover_index, nums, p, q) == _outcome(
+            _face_cover_fraction, a, Fraction(p, q)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(simplex_inputs())
+    def test_simplex(self, inputs):
+        nums, den, p, q = inputs
+        b = [Fraction(x, den) for x in nums]
+        assert _outcome(cone.simplex_cover_index, nums, den, p, q) == _outcome(
+            _simplex_cover_fraction, b, Fraction(p, q)
+        )
 
 
 class TestBuildThinGenerators:
@@ -148,6 +210,20 @@ class TestPeel:
     def test_wrong_layer_hint_rejected(self):
         with pytest.raises(DomainError):
             cone.peel(SPEC, Point((9, 18)), layer=0)
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            lambda v: cone.peel(SPEC, v),
+            lambda v: cone.decompose(SPEC, cone.build_thin_generators(SPEC, 2), v),
+        ],
+        ids=["peel", "decompose"],
+    )
+    def test_outside_cone_message(self, step):
+        with pytest.raises(DomainError) as info:
+            step(Point((5, 1)))
+        assert type(info.value) is cone.OutsideConeError
+        assert str(info.value) == "(5,1) is not in the cone"
 
 
 class TestDecompose:

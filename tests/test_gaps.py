@@ -1,3 +1,4 @@
+import math
 from itertools import combinations_with_replacement
 
 import pytest
@@ -175,3 +176,32 @@ class TestFiveSquares:
     def test_invalid_range(self):
         with pytest.raises(ValidationError):
             gaps.five_squares_check(10, 5)
+
+    def test_failures_below_threshold(self):
+        failures = gaps.five_squares_check(1, 1023)
+        assert len(failures) == 124
+        assert max(failures) == 245
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3000), st.integers(0, 300))
+    def test_matches_recursive_search(self, lo, span):
+        hi = min(lo + span, 3000)
+
+        def min_sum(t):  # the t smallest positive squares
+            return t * (t + 1) * (2 * t + 1) // 6
+
+        def found(n, t, max_root):
+            """t distinct roots below max_root whose squares sum to n, largest first."""
+            if t == 0:
+                return n == 0
+            if n < min_sum(t):
+                return False
+            for r in range(min(max_root - 1, math.isqrt(n - min_sum(t - 1))), t - 1, -1):
+                if n - r * r > (t - 1) * (r - 1) ** 2:
+                    break
+                if found(n - r * r, t - 1, r):
+                    return True
+            return False
+
+        expected = [n for n in range(lo, hi + 1) if not found(n, 5, math.isqrt(n) + 1)]
+        assert gaps.five_squares_check(lo, hi) == expected
