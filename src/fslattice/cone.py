@@ -242,7 +242,7 @@ def peel(spec: ConeSpec, v: Point, layer: Optional[int] = None) -> tuple[int, Po
         raise DomainError(
             f"{v} has coefficient sum in layer {computed_layer}, not {layer}"
         )
-    # the face step at lam = 1/(k+i): nums[l]*(k+i) >= s
+    # the face step at lam = 1/(k + layer): nums[l]*(k + layer) >= s
     l = face_cover_index(nums, 1, k + computed_layer)
     return l, v - spec.v[l]
 
