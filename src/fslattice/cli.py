@@ -10,13 +10,13 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import cone, dyadic, gaps
-from .config import RunConfig, read_json
 from .core import (
     Box,
     GeneratorSet,
@@ -26,13 +26,14 @@ from .core import (
     int_array,
     parse_point,
 )
-from .oracle import bit_levels, fs_enumerate, fs_membership
+from .oracle import DEFAULT_CELL_CAP, bit_levels, fs_enumerate, fs_membership
 from .selftest import payload_of, run_criteria
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 64
+ENV_CAP = "FSLATTICE_CAP"
 
 
 class UsageError(Exception):
@@ -132,21 +133,44 @@ def _require_2d(value: Box | Point, what: str) -> None:
         raise ValidationError(f"{what} needs 2D input, got {value.dim}D")
 
 
-def _check_cap(points: int, what: str, cfg: RunConfig) -> None:
-    if points > cfg.cell_cap:
-        raise ResourceLimitError(f"{what} has {points} points, above the cap of {cfg.cell_cap}")
+def _cell_cap() -> int:
+    """The one setting: FSLATTICE_CAP, or DEFAULT_CELL_CAP when it is unset."""
+    text = os.environ.get(ENV_CAP)
+    if text is None:
+        return DEFAULT_CELL_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        raise ValidationError(f"{ENV_CAP} must be an integer, got {text!r}") from None
+    if cap < 1:
+        raise ValidationError(f"{ENV_CAP} must be positive, got {cap}")
+    return cap
 
 
-def _check_seed_box(spec: cone.ConeSpec, cfg: RunConfig) -> None:
+def read_json(path: str) -> object:
+    """Decode the JSON file at `path`; nesting too deep to decode is a ValidationError."""
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: JSON nested too deeply to decode") from exc
+
+
+def _check_cap(points: int, what: str, cap: int) -> None:
+    if points > cap:
+        raise ResourceLimitError(f"{what} has {points} points, above the cap of {cap}")
+
+
+def _check_seed_box(spec: cone.ConeSpec, cap: int) -> None:
     """build_thin_generators scans every point of the seed's bounding box."""
-    _check_cap(math.prod(h + 1 for h in cone.seed_box(spec).hi.coords), "cone seed box", cfg)
+    _check_cap(math.prod(h + 1 for h in cone.seed_box(spec).hi.coords), "cone seed box", cap)
 
 
-def _thin_generators(spec: cone.ConeSpec, depth: int, cfg: RunConfig) -> cone.ThinGeneratorSet:
+def _thin_generators(spec: cone.ConeSpec, depth: int, cap: int) -> cone.ThinGeneratorSet:
     """build_thin_generators, refused above the cap: its k rays hold about k * depth^2 bits."""
     if depth >= 0:  # a negative depth is build_thin_generators' ValidationError
-        _check_cap(spec.k * (depth + 1) ** 2, "cone rays", cfg)
-        _check_seed_box(spec, cfg)
+        _check_cap(spec.k * (depth + 1) ** 2, "cone rays", cap)
+        _check_seed_box(spec, cap)
     return cone.build_thin_generators(spec, depth)
 
 
@@ -166,7 +190,6 @@ def _parse_cone_vectors(text: str) -> cone.ConeSpec:
 @functools.cache  # built on the first main() call, then reused
 def build_parser() -> _Parser:
     parser = _Parser(prog="fslattice", description=__doc__)
-    parser.add_argument("--config", help="optional JSON config file")
     sub = parser.add_subparsers(dest="group", required=True)
 
     fs = sub.add_parser("fs", help="brute-force oracle").add_subparsers(
@@ -187,7 +210,7 @@ def build_parser() -> _Parser:
     )
     p = cn.add_parser("build")
     p.add_argument("--v", required=True, help='generators, e.g. "1,2;2,1"')
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--depth", type=int, default=6)
     p.add_argument("--out")
     p = cn.add_parser("decompose")
     p.add_argument("--spec", required=True)
@@ -235,17 +258,17 @@ def build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--criteria", help='subset to run, e.g. "1,4,12"')
     p.add_argument("--out")
     return parser
 
 
-def _cmd_fs(args, cfg: RunConfig) -> int:
+def _cmd_fs(args, cap: int) -> int:
     if args.command == "check":
         X = _load_generators(args.generators)
         target = parse_point(args.target)
-        rep = fs_membership(X, target, cell_cap=cfg.cell_cap)
+        rep = fs_membership(X, target, cell_cap=cap)
         _emit(
             {
                 "target": target.to_json(),
@@ -259,7 +282,7 @@ def _cmd_fs(args, cfg: RunConfig) -> int:
     box = _parse_box(args.box)
     if args.heatmap:
         _require_2d(box, "--heatmap")
-    reach = fs_enumerate(X, box, cell_cap=cfg.cell_cap)
+    reach = fs_enumerate(X, box, cell_cap=cap)
     points = []  # coordinate tuples, which _emit writes as lists
     witnesses = {}
     for p, rep in reach.witnesses():
@@ -282,11 +305,10 @@ def _cmd_fs(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_cone(args, cfg: RunConfig) -> int:
+def _cmd_cone(args, cap: int) -> int:
     if args.command == "build":
         spec = _parse_cone_vectors(args.v)
-        depth = args.depth if args.depth is not None else cfg.ray_depth
-        X = _thin_generators(spec, depth, cfg)
+        X = _thin_generators(spec, args.depth, cap)
         _emit(X.to_json(), args.out)
         return EXIT_OK
     data = read_json(args.spec)
@@ -300,13 +322,13 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
         depth = max(
             data.get("depth", cone.default_depth(spec, target)), cone.required_depth(spec, target)
         )
-        rep = cone.decompose(spec, _thin_generators(spec, depth, cfg), target)
+        rep = cone.decompose(spec, _thin_generators(spec, depth, cap), target)
         _emit({"depth": depth, "representation": rep.to_json()}, args.out)
         return EXIT_OK
     # verify
     limit = args.max
-    _check_cap((limit + 1) ** spec.k, "cone verify window", cfg)
-    _check_seed_box(spec, cfg)
+    _check_cap((limit + 1) ** spec.k, "cone verify window", cap)
+    _check_seed_box(spec, cap)
     _, checked, failures = cone.check_window(spec, limit)
     _emit(
         {
@@ -320,7 +342,7 @@ def _cmd_cone(args, cfg: RunConfig) -> int:
     return EXIT_DOMAIN if failures else EXIT_OK
 
 
-def _cmd_dyadic(args, cfg: RunConfig) -> int:
+def _cmd_dyadic(args, cap: int) -> int:
     if args.command == "check":
         p = parse_point(args.point)
         _require_2d(p, "dyadic check")
@@ -342,7 +364,7 @@ def _cmd_dyadic(args, cfg: RunConfig) -> int:
         box = _parse_box(args.box)
         _require_2d(box, "dyadic map")
         reach = fs_enumerate(
-            dyadic.dyadic_generators(box.hi), box, cell_cap=cfg.cell_cap
+            dyadic.dyadic_generators(box.hi), box, cell_cap=cap
         )
         rows = dyadic.exceptional_map(box.lo, box.hi, reach)
         _write_pgm(args.out, rows)
@@ -352,7 +374,7 @@ def _cmd_dyadic(args, cfg: RunConfig) -> int:
         )
         return EXIT_OK
     if args.command == "empty-square":
-        _check_cap(args.D**2, "empty square", cfg)
+        _check_cap(args.D**2, "empty square", cap)
         cert = dyadic.empty_square(args.D)
         payload = {
             "x0": dyadic.bit_positions(cert.square.x0),
@@ -361,46 +383,50 @@ def _cmd_dyadic(args, cfg: RunConfig) -> int:
             "certificate_ok": cert.all_unreachable(),
         }
         if args.verify:
-            payload["verified"] = not dyadic.empty_square_reach(cert, cfg.cell_cap)
+            payload["verified"] = not dyadic.empty_square_reach(cert, cap)
         _emit(payload, args.out)
         return EXIT_OK
-    if args.R >= cfg.cell_cap.bit_length():  # 2^R > cell_cap, without forming 2^R
+    if args.R >= cap.bit_length():  # 2^R > cell_cap, without forming 2^R
         raise ResourceLimitError(
-            f"dense square has 2^{args.R} points, above the cap of {cfg.cell_cap}"
+            f"dense square has 2^{args.R} points, above the cap of {cap}"
         )
     _emit(dataclasses.asdict(dyadic.dense_square_count(args.R)), args.out)
     return EXIT_OK
 
 
-def _cmd_gap(args, cfg: RunConfig) -> int:
+def _cmd_gap(args, cap: int) -> int:
     if args.command == "build":
         A = _load_ints(args.A)
         B = _load_ints(args.B)
         L = [int(v) for v in args.L.split(",")]
+        # build_gap tabulates every pair sum of each of the len(L) slices of A
+        pairs = sum(math.comb(len(s), 2) for s in gaps.slice_interleaved(A, len(L)))
+        if pairs > cap:
+            raise ResourceLimitError(f"gap slices have {pairs} pairs, above the cap of {cap}")
+        _check_cap(math.prod(L), "gap", cap)
         g = gaps.build_gap(A, B, L)
         _emit(g.to_json(), args.out)
         return EXIT_OK
     if args.command == "rectangle":
         report = gaps.dense_rectangle(
-            _load_ints(args.A), _load_ints(args.B), args.T, args.H, cell_cap=cfg.cell_cap
+            _load_ints(args.A), _load_ints(args.B), args.T, args.H, cell_cap=cap
         )
         _emit(report.to_json(), args.out)
         return EXIT_OK
-    _check_cap(args.hi, "five-squares range [1, hi]", cfg)  # the DP decides every n up to hi
+    _check_cap(args.hi, "five-squares range [1, hi]", cap)  # the DP decides every n up to hi
     failures = gaps.five_squares_check(args.lo, args.hi)
     _emit({"lo": args.lo, "hi": args.hi, "failures": failures}, args.out)
     return EXIT_OK
 
 
-def _cmd_selftest(args, cfg: RunConfig) -> int:
+def _cmd_selftest(args, cap: int) -> int:
     ids = None
     if args.criteria is not None:
         if not args.criteria:
             raise ValidationError("--criteria lists no criterion")
         ids = [int(v) for v in args.criteria.split(",")]
-    seed = args.seed if args.seed is not None else cfg.seed
-    results = run_criteria(seed, cfg.cell_cap, ids)
-    payload = payload_of(seed, results)
+    results = run_criteria(args.seed, cap, ids)
+    payload = payload_of(args.seed, results)
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
         limit = "" if r.time_limit_s is None else f" (limit {r.time_limit_s:g} s)"
@@ -417,16 +443,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
     try:
-        cfg = RunConfig.load(args.config)
+        cap = _cell_cap()
         if args.group == "fs":
-            return _cmd_fs(args, cfg)
+            return _cmd_fs(args, cap)
         if args.group == "cone":
-            return _cmd_cone(args, cfg)
+            return _cmd_cone(args, cap)
         if args.group == "dyadic":
-            return _cmd_dyadic(args, cfg)
+            return _cmd_dyadic(args, cap)
         if args.group == "gap":
-            return _cmd_gap(args, cfg)
-        return _cmd_selftest(args, cfg)
+            return _cmd_gap(args, cap)
+        return _cmd_selftest(args, cap)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource error: {exc}\n")
         return EXIT_RESOURCE

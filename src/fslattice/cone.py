@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -38,30 +37,31 @@ from .core import (
 )
 
 
-def _invert_exact(matrix: list[list[int]]) -> tuple[list[list[Fraction]], Fraction]:
-    """Gauss-Jordan over Fractions; returns (inverse, determinant)."""
+def _adjugate_det(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
+    """Fraction-free Gauss-Jordan on [V | I]; returns (adjugate, determinant).
+
+    Each step replaces every other row a_r by (p * a_r - f * a_col) / prev, with
+    p the pivot, f = a_r[col] and prev the previous pivot.  Every entry is then
+    a minor of [PV | P] up to sign (P the row swaps), so each division is exact,
+    and the rows end as [d * I | d * V^-1] with d = det(PV) = sign * det(V).
+    """
     k = len(matrix)
-    a = [[Fraction(matrix[r][c]) for c in range(k)] for r in range(k)]
-    inv = [[Fraction(1 if r == c else 0) for c in range(k)] for r in range(k)]
-    det = Fraction(1)
+    a = [list(row) + [int(r == c) for c in range(k)] for r, row in enumerate(matrix)]
+    prev, sign = 1, 1
     for col in range(k):
         pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
         if pivot is None:
             raise ValidationError("cone generators are linearly dependent")
         if pivot != col:
             a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-            det = -det
+            sign = -sign
         p = a[col][col]
-        det *= p
-        a[col] = [x / p for x in a[col]]
-        inv[col] = [x / p for x in inv[col]]
         for r in range(k):
-            if r != col and a[r][col] != 0:
+            if r != col:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return inv, det
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], a[col])]
+        prev = p
+    return [[sign * x for x in row[k:]] for row in a], sign * prev
 
 
 class OutsideConeError(DomainError):
@@ -92,17 +92,12 @@ class ConeSpec:
             if sum(1 for c in p.coords if c != 0) < 2:
                 raise ValidationError(f"generator {p} is parallel to a coordinate axis")
         # cache the exact inverse as integer numerators over a positive denominator
-        inv, det = _invert_exact([[self.v[j].coords[i] for j in range(k)] for i in range(k)])
-        if det == 0:
-            raise ValidationError("cone generators are linearly dependent")
-        den = det.numerator if det.denominator == 1 else None
-        assert den is not None
-        num = [[inv[r][c] * den for c in range(k)] for r in range(k)]
+        num, den = _adjugate_det([[self.v[j].coords[i] for j in range(k)] for i in range(k)])
         if den < 0:
             den = -den
             num = [[-x for x in row] for row in num]
-        object.__setattr__(self, "_den", int(den))
-        object.__setattr__(self, "_num", tuple(tuple(int(x) for x in row) for row in num))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_num", tuple(map(tuple, num)))
 
     @property
     def k(self) -> int:

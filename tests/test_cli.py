@@ -259,6 +259,12 @@ class TestExitCodes:
         assert code == 64
         assert "usage error" in err
 
+    def test_config_flag_is_a_usage_error(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "cfg.json", {"cell_cap": 16})
+        code, out, err = run(capsys, ["--config", cfg, "selftest"])
+        assert (code, out) == (64, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+
     def test_parser_is_reused_after_a_usage_error(self, capsys, gens_file):
         check = ["fs", "check", "--generators", gens_file, "--target", "5,3"]
         first = run(capsys, check)
@@ -302,36 +308,34 @@ class TestExitCodes:
         assert not list(tmp_path.glob("*.pgm"))
 
     @pytest.mark.parametrize(
-        "argv, env, config",
+        "argv, env",
         [
-            (["selftest", "--criteria", "13"], None, None),
-            (["selftest", "--criteria", "1,x"], None, None),
-            (["selftest", "--criteria", ""], None, None),
-            (["selftest", "--criteria", "2,2"], None, None),
-            (["selftest", "--criteria", "12,12"], None, None),
-            (["gap", "build", "--A", "a.json", "--B", "b.json", "--L", "3,x"], None, None),
-            (["gap", "build", "--A", "nested.json", "--B", "b.json", "--L", "3"], None, None),
-            (["gap", "five-squares", "--lo", "30", "--hi", "30"], "abc", None),
-            (["gap", "five-squares", "--lo", "30", "--hi", "30"], None, {"cell_cap": "5"}),
-            (["fs", "check", "--generators", "deep.json", "--target", "1,1"], None, None),
-            (["fs", "check", "--generators", "newline.json", "--target", "1,1"], None, None),
-            (["--config", "deep.json", "gap", "five-squares", "--lo", "30", "--hi", "30"], None, None),
-            (["gap", "five-squares", "--lo", "30", "--hi", "30"], None, 5),
-            (["cone", "decompose", "--spec", "spec-array.json", "--point", "3,3"], None, None),
-            (["cone", "verify", "--spec", "spec-array.json"], None, None),
-            (["cone", "decompose", "--spec", "spec-no-v.json", "--point", "3,3"], None, None),
-            (["cone", "verify", "--spec", "spec-no-v.json"], None, None),
-            (["cone", "decompose", "--spec", "spec-v-int.json", "--point", "3,3"], None, None),
-            (["cone", "verify", "--spec", "spec-v-int.json"], None, None),
-            (["cone", "decompose", "--spec", "spec-spec-array.json", "--point", "3,3"], None, None),
-            (["cone", "verify", "--spec", "spec-spec-array.json"], None, None),
-            (["cone", "decompose", "--spec", "spec-depth-str.json", "--point", "3,3"], None, None),
-            (["cone", "verify", "--spec", "spec-depth-str.json"], None, None),
-            (["cone", "decompose", "--spec", "spec-depth-negative.json", "--point", "9,18"], None, None),
-            (["fs", "check", "--generators", "dir.json", "--target", "1,1"], None, None),
-            (["--config", "dir.json", "fs", "check", "--generators", "g.json", "--target", "1,1"], None, None),
-            (["fs", "check", "--generators", "g.json", "--target", "1,1", "--out", "dir.json"], None, None),
-            (["fs", "enumerate", "--generators", "g.json", "--box", "0,0,3,3", "--heatmap", "dir.json"], None, None),
+            (["selftest", "--criteria", "13"], None),
+            (["selftest", "--criteria", "1,x"], None),
+            (["selftest", "--criteria", ""], None),
+            (["selftest", "--criteria", "2,2"], None),
+            (["selftest", "--criteria", "12,12"], None),
+            (["gap", "build", "--A", "a.json", "--B", "b.json", "--L", "3,x"], None),
+            (["gap", "build", "--A", "nested.json", "--B", "b.json", "--L", "3"], None),
+            (["gap", "five-squares", "--lo", "30", "--hi", "30"], "abc"),
+            (["gap", "five-squares", "--lo", "30", "--hi", "30"], "0"),
+            (["gap", "five-squares", "--lo", "30", "--hi", "30"], "-5"),
+            (["fs", "check", "--generators", "deep.json", "--target", "1,1"], None),
+            (["fs", "check", "--generators", "newline.json", "--target", "1,1"], None),
+            (["cone", "decompose", "--spec", "spec-array.json", "--point", "3,3"], None),
+            (["cone", "verify", "--spec", "spec-array.json"], None),
+            (["cone", "decompose", "--spec", "spec-no-v.json", "--point", "3,3"], None),
+            (["cone", "verify", "--spec", "spec-no-v.json"], None),
+            (["cone", "decompose", "--spec", "spec-v-int.json", "--point", "3,3"], None),
+            (["cone", "verify", "--spec", "spec-v-int.json"], None),
+            (["cone", "decompose", "--spec", "spec-spec-array.json", "--point", "3,3"], None),
+            (["cone", "verify", "--spec", "spec-spec-array.json"], None),
+            (["cone", "decompose", "--spec", "spec-depth-str.json", "--point", "3,3"], None),
+            (["cone", "verify", "--spec", "spec-depth-str.json"], None),
+            (["cone", "decompose", "--spec", "spec-depth-negative.json", "--point", "9,18"], None),
+            (["fs", "check", "--generators", "dir.json", "--target", "1,1"], None),
+            (["fs", "check", "--generators", "g.json", "--target", "1,1", "--out", "dir.json"], None),
+            (["fs", "enumerate", "--generators", "g.json", "--box", "0,0,3,3", "--heatmap", "dir.json"], None),
         ],
         ids=[
             "unknown-criterion",
@@ -342,11 +346,10 @@ class TestExitCodes:
             "bad-lengths",
             "nested-array",
             "bad-env-cap",
-            "string-config",
+            "zero-env-cap",
+            "negative-env-cap",
             "deep-generators",
             "newline-in-message",
-            "deep-config",
-            "non-object-config",
             "cone-decompose-array",
             "cone-verify-array",
             "cone-decompose-no-v",
@@ -359,12 +362,11 @@ class TestExitCodes:
             "cone-verify-depth-string",
             "cone-decompose-depth-negative",
             "directory-generators",
-            "directory-config",
             "directory-out",
             "directory-heatmap",
         ],
     )
-    def test_bad_input_is_one_line(self, capsys, monkeypatch, tmp_path, argv, env, config):
+    def test_bad_input_is_one_line(self, capsys, monkeypatch, tmp_path, argv, env):
         write_json(tmp_path / "a.json", list(range(1, 13)))
         write_json(tmp_path / "b.json", [1, 2])
         write_json(tmp_path / "nested.json", [[1, 2], [3]])
@@ -381,8 +383,6 @@ class TestExitCodes:
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         if env is not None:
             monkeypatch.setenv("FSLATTICE_CAP", env)
-        if config is not None:
-            argv = ["--config", write_json(tmp_path / "cfg.json", config)] + argv
         code, out, err = run(capsys, argv)
         assert code == 1
         assert out == ""
@@ -405,6 +405,8 @@ class TestExitCodes:
             (["cone", "decompose", "--spec", "cone-shallow.json", "--point", f"{10**40},{10**40}"], "100"),
             (["gap", "five-squares", "--lo", "1", "--hi", "1000000000"], None),
             (["gap", "five-squares", "--lo", "1", "--hi", "9"], "8"),
+            (["gap", "build", "--A", "a40.json", "--B", "b.json", "--L", "3"], "100"),
+            (["gap", "build", "--A", "a40.json", "--B", "b.json", "--L", "10000,10000"], None),
             (["fs", "check", "--generators", "line.json", "--target", "300,4"], "1000"),
         ],
         ids=[
@@ -421,6 +423,8 @@ class TestExitCodes:
             "cone-decompose-required-depth",
             "five-squares",
             "five-squares-small-cap",
+            "gap-build-pairs",
+            "gap-build-elements",
             "fs-check-search-nodes",
         ],
     )
@@ -431,6 +435,9 @@ class TestExitCodes:
         write_json(tmp_path / "cone-shallow.json", {"v": [[1, 2], [2, 1]], "depth": 1})
         # 1,505 target cells, above the cap, so the search runs: it needs 4,768 nodes
         write_json(tmp_path / "line.json", [[i, 1] for i in range(1, 41)])
+        # one slice of 40, so 780 pairs; as two slices of 20, 380 pairs for 10^8 GAP elements
+        write_json(tmp_path / "a40.json", list(range(1, 41)))
+        write_json(tmp_path / "b.json", [1, 2])
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
         if env is not None:
             monkeypatch.setenv("FSLATTICE_CAP", env)
@@ -443,11 +450,15 @@ class TestExitCodes:
         monkeypatch.setenv("FSLATTICE_CAP", "16")
         # a 16-point window; the seed box is [0,2] x [0,4], 15 points
         spec = write_json(tmp_path / "cone.json", {"v": [[1, 1], [1, 2]]})
+        # two slices of 5 and 4: 10 + 6 = 16 pairs
+        A = write_json(tmp_path / "a.json", list(range(1, 10)))
+        B = write_json(tmp_path / "b.json", [1, 2])
         for argv in (
             ["dyadic", "dense-square", "--R", "4"],
             ["dyadic", "empty-square", "--D", "4"],
             ["cone", "verify", "--spec", spec, "--max", "3"],
             ["gap", "five-squares", "--lo", "1", "--hi", "16"],
+            ["gap", "build", "--A", A, "--B", B, "--L", "1,2"],
         ):
             code, _, err = run(capsys, argv)
             assert code == 0, err
@@ -478,6 +489,13 @@ class TestExitCodes:
             1, "", "error: FSLATTICE_CAP must be an integer, got 'abc'\n"
         )
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_nonpositive_env_cap_names_the_variable(self, capsys, monkeypatch, cap):
+        monkeypatch.setenv("FSLATTICE_CAP", cap)
+        assert run(capsys, ["gap", "five-squares", "--lo", "1", "--hi", "3"]) == (
+            1, "", f"error: FSLATTICE_CAP must be positive, got {cap}\n"
+        )
+
     def test_resource_cap_env(self, capsys, monkeypatch, gens_file):
         monkeypatch.setenv("FSLATTICE_CAP", "50")
         code, _, err = run(
@@ -485,6 +503,21 @@ class TestExitCodes:
         )
         assert code == 2
         assert "resource error" in err
+
+
+def test_cli_imports_no_fractions_and_no_config():
+    """A fresh interpreter, since hypothesis itself imports fractions."""
+    src = str(Path(fslattice.__file__).parent.parent)
+    script = (
+        "import sys, fslattice.cli; "
+        "print(sorted({'fractions', 'decimal', 'fslattice.config'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # -- the JSON writer: the text of json.dumps(value, sort_keys=True, indent=2)

@@ -35,6 +35,54 @@ class TestConeSpec:
         assert cone.ConeSpec.from_json(SPEC.to_json()) == SPEC
 
 
+def _fraction_inverse(matrix):
+    """(inverse, determinant) by Gauss-Jordan over Fractions; (None, 0) if singular."""
+    k = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(k)] for r, row in enumerate(matrix)]
+    det = Fraction(1)
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
+        if pivot is None:
+            return None, 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        p = a[col][col]
+        det *= p
+        a[col] = [x / p for x in a[col]]
+        for r in range(k):
+            if r != col:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return [row[k:] for row in a], det
+
+
+@st.composite
+def square_matrices(draw):
+    """k x k integer matrices, k <= 5; a quarter of them get a row that is a
+    multiple of another, so singular ones are drawn often."""
+    k = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-20, 20), min_size=k, max_size=k), min_size=k, max_size=k))
+    if k > 1 and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.permutations(range(k)))[:2]
+        rows[i] = [draw(st.integers(-3, 3)) * x for x in rows[j]]
+    return rows
+
+
+class TestAdjugateDet:
+    @settings(max_examples=300, deadline=None)
+    @given(square_matrices())
+    def test_matches_fraction_inverse(self, matrix):
+        inv, det = _fraction_inverse(matrix)
+        if det == 0:
+            with pytest.raises(ValidationError, match="linearly dependent"):
+                cone._adjugate_det(matrix)
+            return
+        adj, d = cone._adjugate_det(matrix)
+        assert d == det
+        assert adj == [[x * det for x in row] for row in inv]
+
+
 class TestBarycentric:
     """coeff_numerators: p = sum (nums[l] / den) * v_l, exactly."""
 
