@@ -70,9 +70,10 @@ def _json_text(payload: object) -> str:
     given an indent, json.dumps leaves its C encoder for a pure-Python one.
     A scalar other than an exact int or str is json.dumps'd alone, which
     writes it as the indented encoder does.  A memo, local to the call,
-    renders each distinct all-int list once per indent level (witness
-    members repeat a few generators many times)."""
-    memo: dict[tuple[str, tuple], str] = {}
+    renders each distinct tuple of exact ints once per indent (witness
+    members repeat a few generators many times); only such tuples are keys,
+    since (True,) and (1.0,) equal (1,)."""
+    memo: dict[str, dict[tuple[int, ...], str]] = {}  # indent -> tuple -> text
 
     def render(v: object, ind: str) -> str:
         if type(v) is int:
@@ -84,14 +85,20 @@ def _json_text(payload: object) -> str:
             return _wrap("{}", [_json_key(k) + ": " + render(x, inner) for k, x in sorted(v.items())], ind)
         if not isinstance(v, (list, tuple)):
             return json.dumps(v)
-        if not _INT_ONLY.issuperset(map(type, v)):
-            inner = ind + "  "
-            return _wrap("[]", [render(x, inner) for x in v], ind)
-        key = (ind, tuple(v))
-        text = memo.get(key)
-        if text is None:
-            text = memo[key] = _wrap("[]", list(map(int.__repr__, v)), ind)
-        return text
+        if _INT_ONLY.issuperset(map(type, v)):
+            return _wrap("[]", list(map(int.__repr__, v)), ind)
+        inner = ind + "  "
+        texts = memo.setdefault(inner, {})
+        parts = []
+        for x in v:
+            if type(x) is tuple and _INT_ONLY.issuperset(map(type, x)):
+                text = texts.get(x)
+                if text is None:
+                    text = texts[x] = _wrap("[]", list(map(int.__repr__, x)), inner)
+            else:
+                text = render(x, inner)
+            parts.append(text)
+        return _wrap("[]", parts, ind)
 
     return render(payload, "\n")
 
@@ -437,10 +444,17 @@ def _cmd_selftest(args, cap: int) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
+        message = str(exc)
+        first = argv[0] if argv else ""
+        if first.startswith("-") and first not in ("-", "--"):
+            # the parser's only option is -h, which never fails; argparse would
+            # take an unknown option's value for the group and name that instead
+            message = f"unrecognized arguments: {first}"
+        sys.stderr.write(f"usage error: {message}\n")
         return EXIT_USAGE
     try:
         cap = _cell_cap()

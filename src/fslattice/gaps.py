@@ -396,4 +396,5 @@ def five_squares_check(lo: int, hi: int) -> list[int]:
     roots = range(1, math.isqrt(min(hi, DEFAULT_CELL_CAP)) + 1)
     squares = GeneratorSet.of(Point((r * r, 1)) for r in roots)
     row = fs_enumerate(squares, Box(Point((0, 0)), Point((hi, 5)))).row(5)
-    return [n for n in range(lo, hi + 1) if not row >> n & 1]
+    bits = format(row, f"0{hi + 1}b")[::-1]  # bits[n] is bit n, read in one pass
+    return [n for n in range(lo, hi + 1) if bits[n] == "0"]

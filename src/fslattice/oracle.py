@@ -131,8 +131,10 @@ class ReachableSet(Set):
     set exactly for the reachable cells of the box.  Points are built only
     while iterating.  The generators are added in the order given.  Witnesses
     come from each cell's first-reach index k (the cell was first reached by
-    including generator k - 1; 0 for the origin), kept bit-sliced: bit j of k
-    is the cell's bit of plane j, in one bytes object per plane.
+    including generator k - 1; 0 for the origin), kept bit-sliced as its Gray
+    code g(k) = k ^ (k >> 1): bit j of g(k) is the cell's bit of plane j, in
+    one bytes object per plane.  Consecutive codes differ in one bit, so each
+    DP step costs the planes one XOR.
     """
 
     def __init__(self, box: Box, generators: Iterable[Point]):
@@ -155,15 +157,19 @@ class ReachableSet(Set):
         # walked back along, so its offset is 0
         self._shifts = {c: sum(map(operator.mul, c, self._strides)) for c in fitting}
         self._offsets = [self._shifts.get(g.coords, 0) for g in self.generators]
-        planes = [0] * len(self.generators).bit_length()
+        n = len(self.generators)
+        planes = [0] * n.bit_length()
         reach = 1  # bit 0, the origin, is the empty sum
-        for k, g in enumerate(self.generators, 1):
-            nxt = self._include(reach, g)
-            new = nxt ^ reach  # reach is a subset of nxt
-            for j in range(k.bit_length()):
-                if k >> j & 1:
-                    planes[j] |= new
-            reach = nxt
+        for m, g in enumerate(self.generators, 1):
+            # from stage m - 1 to m the Gray code flips one bit, bit tz(m): flip it
+            # in every cell reached so far
+            planes[(m & -m).bit_length() - 1] ^= reach
+            reach = self._include(reach, g)
+        # a cell first reached at stage k now holds g(k) ^ g(n): XOR g(n) into every cell
+        gray = n ^ n >> 1
+        for j in range(gray.bit_length()):
+            if gray >> j & 1:
+                planes[j] ^= reach
         if any(box.lo.coords):
             reach &= self._box_mask(box.lo.coords, hi)
         self._len = reach.bit_count()
@@ -232,10 +238,12 @@ class ReachableSet(Set):
         return int.from_bytes(chunk, "little") >> (start & 7) & ((1 << width) - 1)
 
     def _first_reach(self, i: int) -> int:
-        """The first-reach index k of cell i, read from the bit planes."""
+        """The first-reach index k of cell i, decoded from its Gray code in the
+        bit planes, most significant bit first: bit j of k is bit j of the code
+        XOR bit j + 1 of k."""
         k = 0
         for plane in self._planes:
-            k = k << 1 | _bit(plane, i)
+            k = k << 1 | (_bit(plane, i) ^ (k & 1))
         return k
 
     def witness(self, p: Point) -> Representation:

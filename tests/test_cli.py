@@ -263,7 +263,23 @@ class TestExitCodes:
         cfg = write_json(tmp_path / "cfg.json", {"cell_cap": 16})
         code, out, err = run(capsys, ["--config", cfg, "selftest"])
         assert (code, out) == (64, "")
-        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert err == "usage error: unrecognized arguments: --config\n"
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--config", "x.json", "selftest"], "--config"),
+            (["--config=x.json", "selftest"], "--config=x.json"),
+            (["--bogus", "selftest"], "--bogus"),
+            (["selftest", "--bogus"], "--bogus"),
+            (["-x", "fs", "check"], "-x"),
+            (["--bogus"], "--bogus"),
+        ],
+    )
+    def test_unknown_option_is_named(self, capsys, argv, option):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (64, "")
+        assert err == f"usage error: unrecognized arguments: {option}\n"
 
     def test_parser_is_reused_after_a_usage_error(self, capsys, gens_file):
         check = ["fs", "check", "--generators", gens_file, "--target", "5,3"]
@@ -569,6 +585,11 @@ def test_writer_int_keys(value):
         {float("nan"): 0},
         # the memo must not render these equal lists alike
         [[1, 2], [1.0, 2], [True, 2], (1, 2), [[1, 2]]],
+        [(1, 2), (1.0, 2), (True, 2), (1, 2)],
+        # one tuple at two indents
+        [(1,), [(1,)], {"a": [(1,)]}],
+        # a tuple holding a list is not a memo key
+        [(1, [2, 3]), (1, [2, 3]), ([],)],
     ],
 )
 def test_writer_keys_and_memo(value):

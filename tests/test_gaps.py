@@ -1,5 +1,5 @@
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,6 +176,11 @@ class TestFiveSquares:
     def test_invalid_range(self):
         with pytest.raises(ValidationError):
             gaps.five_squares_check(10, 5)
+
+    def test_matches_combinations(self):
+        squares = [r * r for r in range(1, 21)]  # every square <= 400
+        sums = {sum(c) for c in combinations(squares, 5)}
+        assert gaps.five_squares_check(1, 400) == [n for n in range(1, 401) if n not in sums]
 
     def test_failures_below_threshold(self):
         failures = gaps.five_squares_check(1, 1023)

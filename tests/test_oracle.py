@@ -219,6 +219,18 @@ def first_reach(hi: tuple[int, ...], gens: list) -> dict:
     return first
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 31, 32, 33])
+def test_first_reach_decodes_the_gray_planes(n):
+    # g(n) = n ^ (n >> 1) has its high bits set at n = 8 and 32 (binary 1100, 110000)
+    rng = random.Random(n)
+    gens = [Point((rng.randint(0, 3), rng.randint(0, 3))) for _ in range(n)]
+    hi = (2 * n, 2 * n)
+    reach = ReachableSet(Box(Point((0, 0)), Point(hi)), gens)
+    first = first_reach(hi, gens)
+    assert len(reach._planes) == n.bit_length()
+    assert {p.coords: reach._first_reach(reach._index(p)) for p in reach} == first
+
+
 class TestMembershipSearch:
     @settings(deadline=None, max_examples=80)
     @given(sets_and_boxes())
