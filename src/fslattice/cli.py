@@ -70,10 +70,12 @@ def _json_text(payload: object) -> str:
     given an indent, json.dumps leaves its C encoder for a pure-Python one.
     A scalar other than an exact int or str is json.dumps'd alone, which
     writes it as the indented encoder does.  A memo, local to the call,
-    renders each distinct tuple of exact ints once per indent (witness
-    members repeat a few generators many times); only such tuples are keys,
-    since (True,) and (1.0,) equal (1,)."""
-    memo: dict[str, dict[tuple[int, ...], str]] = {}  # indent -> tuple -> text
+    renders each tuple of exact ints once per indent, keyed by the tuple's
+    identity: witness members are the same few generator tuples over and
+    over, so each is type-checked once, not once per listing.  The keyed
+    tuples stay alive for the whole call, so no id is reused."""
+    memo: dict[str, dict[int, str]] = {}  # indent -> id of a tuple -> text
+    keyed: list[tuple[int, ...]] = []
 
     def render(v: object, ind: str) -> str:
         if type(v) is int:
@@ -89,15 +91,18 @@ def _json_text(payload: object) -> str:
             return _wrap("[]", list(map(int.__repr__, v)), ind)
         inner = ind + "  "
         texts = memo.setdefault(inner, {})
-        parts = []
-        for x in v:
-            if type(x) is tuple and _INT_ONLY.issuperset(map(type, x)):
-                text = texts.get(x)
+        parts = list(map(texts.get, map(id, v)))
+        if None in parts:
+            parts = []
+            for x in v:
+                text = texts.get(id(x))
                 if text is None:
-                    text = texts[x] = _wrap("[]", list(map(int.__repr__, x)), inner)
-            else:
-                text = render(x, inner)
-            parts.append(text)
+                    if type(x) is tuple and _INT_ONLY.issuperset(map(type, x)):
+                        text = texts[id(x)] = _wrap("[]", list(map(int.__repr__, x)), inner)
+                        keyed.append(x)
+                    else:
+                        text = render(x, inner)
+                parts.append(text)
         return _wrap("[]", parts, ind)
 
     return render(payload, "\n")
@@ -292,9 +297,9 @@ def _cmd_fs(args, cap: int) -> int:
     reach = fs_enumerate(X, box, cell_cap=cap)
     points = []  # coordinate tuples, which _emit writes as lists
     witnesses = {}
-    for p, rep in reach.witnesses():
-        points.append(p.coords)
-        witnesses[str(p)] = [m.coords for m in rep.members]
+    for c, members in reach.witnesses():
+        points.append(c)
+        witnesses["(" + ",".join(map(str, c)) + ")"] = members  # the key is str(Point(c))
     points.sort()
     payload = {
         "box": {"lo": box.lo.to_json(), "hi": box.hi.to_json()},
@@ -445,6 +450,12 @@ def _cmd_selftest(args, cap: int) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a "--" where the group or the command name goes for that
+    # name; there it ends no options, so skip it
+    if argv[:1] == ["--"]:
+        del argv[0]
+    if argv[1:2] == ["--"] and argv[0] != "selftest":
+        del argv[1]
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

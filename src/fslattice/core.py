@@ -80,8 +80,10 @@ class Point:
 
     def fits_within(self, other: "Point") -> bool:
         """Componentwise <=; the condition for a generator to be usable."""
-        self._check_dim(other)
-        return all(a <= b for a, b in zip(self.coords, other.coords))
+        a, b = self.coords, other.coords
+        if len(a) != len(b):
+            self._check_dim(other)  # raises the mismatch
+        return all(map(operator.le, a, b))
 
     def _check_dim(self, other: "Point") -> None:
         if self.dim != other.dim:
@@ -173,7 +175,10 @@ class GeneratorSet:
 
     def pruned_to(self, bound: Point) -> "GeneratorSet":
         """Drop generators that cannot participate in any sum <= bound."""
-        return GeneratorSet(tuple(p for p in self.elements if p.fits_within(bound)))
+        if self.elements:
+            self.elements[0]._check_dim(bound)
+        hi = bound.coords
+        return GeneratorSet(tuple(p for p in self.elements if all(map(operator.le, p.coords, hi))))
 
     def to_json(self) -> list[list[int]]:
         return [p.to_json() for p in self.elements]
@@ -211,10 +216,14 @@ class Representation:
 
 def validate_representation(r: Representation) -> bool:
     """True iff members are pairwise distinct and sum exactly to the target."""
-    target = r.target.coords
     # Point equality and hash are those of coords, so distinct tuples are
     # distinct Points
-    members = [m.coords for m in r.members]
+    return validate_sum([m.coords for m in r.members], r.target.coords)
+
+
+def validate_sum(members: Sequence[tuple[int, ...]], target: tuple[int, ...]) -> bool:
+    """validate_representation on coordinate tuples: True iff the members are
+    pairwise distinct and sum exactly to the target."""
     if not set(map(len, members)) <= {len(target)}:
         raise ValidationError("member/target dimension mismatch")
     if len(set(members)) != len(members):

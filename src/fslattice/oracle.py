@@ -44,7 +44,7 @@ def fs_membership(
         raise ValidationError("generator/target dimension mismatch")
     if target.is_zero:
         return Representation((), target)
-    gens = [g for g in X if g.fits_within(target)]
+    gens = [g for g in X if all(map(operator.le, g.coords, target.coords))]
     # a subset sums to at most the total of gens on each axis: a target past it needs no DP
     if any(sum(g.coords[j] for g in gens) < t for j, t in enumerate(target.coords)):
         return None
@@ -193,6 +193,10 @@ class ReachableSet(Set):
         return fits and bool(_bit(self._bytes, self._index(p)))
 
     def __iter__(self) -> Iterator[Point]:
+        return map(Point, self._cells())
+
+    def _cells(self) -> Iterator[tuple[int, ...]]:
+        """The coordinates of every point, in iteration order."""
         # walk the bytes: clearing one bit at a time would copy the int per point;
         # decode each byte's first cell once and step along axis 0 from there
         width = self._strides[1]
@@ -202,7 +206,7 @@ class ReachableSet(Set):
                 x0, rest = first[0], first[1:]
                 for bit in _BYTE_BITS[byte]:
                     x = x0 + bit
-                    yield Point((x,) + rest if x < width else self._coords(8 * base + bit))
+                    yield (x,) + rest if x < width else self._coords(8 * base + bit)
 
     def _index(self, p: Point) -> int:
         return sum(map(operator.mul, p.coords, self._strides))
@@ -241,9 +245,11 @@ class ReachableSet(Set):
         """The first-reach index k of cell i, decoded from its Gray code in the
         bit planes, most significant bit first: bit j of k is bit j of the code
         XOR bit j + 1 of k."""
+        byte, shift = i >> 3, i & 7
         k = 0
         for plane in self._planes:
-            k = k << 1 | (_bit(plane, i) ^ (k & 1))
+            # the low bit of (plane[byte] >> shift) ^ k: the cell's bit here XOR k's last bit
+            k = k << 1 | (plane[byte] >> shift ^ k) & 1
         return k
 
     def witness(self, p: Point) -> Representation:
@@ -258,23 +264,27 @@ class ReachableSet(Set):
             i -= self._offsets[k - 1]
         return Representation(tuple(sorted(members, key=COORDS)), p)
 
-    def witnesses(self) -> Iterator[tuple[Point, Representation]]:
-        """(p, witness(p)) for every point, in iteration order.  One memo, local
-        to the call, maps each cell walked to its members, so a walk stops at
-        the first cell an earlier walk passed and the walks share their tails."""
-        memo: dict[int, tuple[Point, ...]] = {0: ()}
-        for p in self:
+    def witnesses(self) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+        """(coords, members) for every point, in iteration order, on coordinate
+        tuples: members is the sorted list of the coords of witness(p)'s
+        members, the generators' own tuples.  One memo, local to the call, maps
+        each cell walked to its members, so a walk stops at the first cell an
+        earlier walk passed and the walks share their tails."""
+        gens = [g.coords for g in self.generators]
+        strides, offsets = self._strides, self._offsets
+        memo: dict[int, tuple[tuple[int, ...], ...]] = {0: ()}
+        for c in self._cells():
             path = []  # (cell, first-reach index) down to a memoized cell
-            i = self._index(p)
+            i = sum(map(operator.mul, c, strides))
             while i not in memo:
                 k = self._first_reach(i)
                 path.append((i, k))
-                i -= self._offsets[k - 1]
+                i -= offsets[k - 1]
             members = memo[i]
             for cell, k in reversed(path):
-                members += (self.generators[k - 1],)
+                members += (gens[k - 1],)
                 memo[cell] = members
-            yield p, Representation(tuple(sorted(members, key=COORDS)), p)
+            yield c, sorted(members)
 
 
 def _bit(view: bytes, i: int) -> int:

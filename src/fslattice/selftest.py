@@ -24,6 +24,7 @@ from .core import (
     GeneratorSet,
     Point,
     validate_representation,
+    validate_sum,
 )
 from .oracle import DEFAULT_CELL_CAP, fs_enumerate, trm_table
 
@@ -139,9 +140,9 @@ def crit_grid_coverage(seed: int, cell_cap: int) -> dict:
                 represent_failures.append(f"({a},{b})")
             if not rows[b] >> a & 1:
                 oracle_misses.append(f"({a},{b})")
-    for p, rep in reach.witnesses():
-        if not validate_representation(rep):
-            witness_failures.append(str(p))
+    for c, members in reach.witnesses():
+        if not validate_sum(members, c):
+            witness_failures.append(str(Point(c)))
     return {
         "passed": not (represent_failures or oracle_misses or witness_failures),
         "time_limit_s": 30.0,

@@ -62,6 +62,20 @@ def test_grid_coverage_catches_an_oracle_miss(monkeypatch):
     assert result.details["represent_failures"] == []
 
 
+def test_grid_coverage_catches_a_wrong_witness(monkeypatch):
+    real = oracle.ReachableSet.witnesses
+
+    def witnesses(self):
+        for c, members in real(self):
+            yield c, members[1:] if c == PLANTED else members
+
+    monkeypatch.setattr(oracle.ReachableSet, "witnesses", witnesses)
+    result = run_criterion(4, seed=0)
+    assert not result.passed
+    assert result.details["witness_failures"] == ["(5,3)"]
+    assert result.details["represent_failures"] == result.details["oracle_misses"] == []
+
+
 def test_cone_completeness_catches_a_non_member(monkeypatch):
     # (9,18) = 9 * (1,2) sums right but is neither a seed point nor a ray element 2^j v_l
     outsider = Point((9, 18))

@@ -281,6 +281,23 @@ class TestExitCodes:
         assert (code, out) == (64, "")
         assert err == f"usage error: unrecognized arguments: {option}\n"
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["--", "selftest", "--criteria", "9"], ["selftest", "--criteria", "9"]),
+            (["dyadic", "--", "check", "--point", "5,3"], ["dyadic", "check", "--point", "5,3"]),
+        ],
+    )
+    def test_separator_before_a_name_is_skipped(self, capsys, argv, expected):
+        code, out, _ = run(capsys, argv)  # stderr may hold timings
+        assert code == 0
+        assert (code, out) == run(capsys, expected)[:2]
+
+    def test_separator_before_an_option_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, ["dyadic", "check", "--", "--point", "5,3"])
+        assert (code, out) == (64, "")
+        assert err == "usage error: the following arguments are required: --point\n"
+
     def test_parser_is_reused_after_a_usage_error(self, capsys, gens_file):
         check = ["fs", "check", "--generators", gens_file, "--target", "5,3"]
         first = run(capsys, check)
@@ -576,6 +593,9 @@ def test_writer_int_keys(value):
     assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+ONE_TUPLE = (1, 2)  # one object, listed in several rows below
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -590,6 +610,14 @@ def test_writer_int_keys(value):
         [(1,), [(1,)], {"a": [(1,)]}],
         # a tuple holding a list is not a memo key
         [(1, [2, 3]), (1, [2, 3]), ([],)],
+        # the memo is keyed by identity: one tuple object at two indents,
+        [ONE_TUPLE, [ONE_TUPLE], {"a": [ONE_TUPLE]}],
+        # distinct equal objects in one list,
+        [(1, 2), (True, 2), (1.0, 2)],
+        # one object listed twice,
+        [ONE_TUPLE, ONE_TUPLE, [ONE_TUPLE]],
+        # and a tuple that holds a list
+        [(1, [2]), ONE_TUPLE, (1, [2])],
     ],
 )
 def test_writer_keys_and_memo(value):

@@ -10,6 +10,7 @@ from fslattice.core import (
     int_array,
     parse_point,
     validate_representation,
+    validate_sum,
 )
 
 
@@ -24,6 +25,19 @@ class TestPoint:
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             Point((1,)).fits_within(Point((1, 2)))
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=4),
+        st.lists(st.integers(0, 3), min_size=1, max_size=4),
+    )
+    def test_fits_within_is_the_componentwise_definition(self, a, b):
+        p, q = Point(tuple(a)), Point(tuple(b))
+        if len(a) != len(b):
+            with pytest.raises(ValidationError) as got:
+                p.fits_within(q)
+            assert str(got.value) == f"dimension mismatch: {len(a)} vs {len(b)}"
+        else:
+            assert p.fits_within(q) is all(x <= y for x, y in zip(a, b))
 
     def test_subtraction_requires_fit(self):
         with pytest.raises(ValidationError):
@@ -215,11 +229,13 @@ class TestValidateRepresentation:
         try:
             expected = self.point_definition(r)
         except ValidationError as exc:
-            with pytest.raises(ValidationError) as got:
-                validate_representation(r)
-            assert str(got.value) == str(exc)
+            for check in (lambda: validate_representation(r), lambda: validate_sum(members, target)):
+                with pytest.raises(ValidationError) as got:
+                    check()
+                assert str(got.value) == str(exc)
         else:
             assert validate_representation(r) is expected
+            assert validate_sum(members, target) is expected
 
 
 class TestRegions:

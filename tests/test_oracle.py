@@ -15,6 +15,7 @@ from fslattice.core import (
     ResourceLimitError,
     ValidationError,
     validate_representation,
+    validate_sum,
 )
 from fslattice.oracle import (
     DEFAULT_CELL_CAP,
@@ -131,6 +132,11 @@ class TestFsEnumerate:
             assert rep.target == p
             assert validate_representation(rep)
             assert all(m in X for m in rep.members)
+        walked = list(reach.witnesses())
+        assert [c for c, _ in walked] == [p.coords for p in reach]
+        for c, members in walked:
+            assert validate_sum(members, c)
+            assert all(Point(m) in X for m in members)
 
     def test_witness_in_three_dimensions(self):
         X = GeneratorSet.of([Point((1, 1, 0)), Point((0, 1, 1)), Point((1, 0, 1))])
@@ -477,8 +483,12 @@ class TestReachableSet:
         X, box = case
         reach = fs_enumerate(X, box)
         pairs = list(reach.witnesses())
-        assert [p for p, _ in pairs] == list(reach)
-        assert dict(pairs) == {p: reach.witness(p) for p in reach}
+        assert [Point(c) for c, _ in pairs] == list(reach)
+        own = {id(g.coords) for g in reach.generators}
+        for c, members in pairs:
+            assert members == sorted(m.coords for m in reach.witness(Point(c)).members)
+            # the generators' own tuples, not copies
+            assert all(id(m) in own for m in members)
 
     @settings(deadline=None, max_examples=60)
     @given(
