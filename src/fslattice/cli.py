@@ -121,10 +121,12 @@ _LEVEL_TEXT = [str(v) for v in range(256)]
 
 
 def _write_pgm(path: str, rows: Sequence[bytes]) -> None:
+    """Write rows of levels as a plain PGM; each distinct row is rendered once
+    (a `dyadic map` of [1, 511]^2 repeats 465 of its 511 rows)."""
     height = len(rows)
     width = len(rows[0]) if rows else 0
-    lines = ["P2", f"{width} {height}", "255"]
-    lines += [" ".join(map(_LEVEL_TEXT.__getitem__, row)) for row in rows]
+    texts = {row: " ".join(map(_LEVEL_TEXT.__getitem__, row)) for row in set(rows)}
+    lines = ["P2", f"{width} {height}", "255", *map(texts.__getitem__, rows)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Set
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -37,8 +37,10 @@ def fs_membership(
     the generators in reverse canonical order, so after j of them its set is
     FS(gens[n-j:]).  The search skips generator i exactly while the remainder
     is still in FS(gens[i+1:]), so it includes the generator whose stage first
-    reached the remainder: the one `ReachableSet.witness` takes.  A target box
-    beyond the cap goes to the search itself, bounded by cell_cap nodes.
+    reached the remainder: the one `ReachableSet.witness` takes.  An
+    unreachable target costs one DP pass; a reachable one costs a second, which
+    builds the witness planes.  A target box beyond the cap goes to the search
+    itself, bounded by cell_cap nodes.
     """
     if len(X) and X.dim != target.dim:
         raise ValidationError("generator/target dimension mismatch")
@@ -134,7 +136,9 @@ class ReachableSet(Set):
     including generator k - 1; 0 for the origin), kept bit-sliced as its Gray
     code g(k) = k ^ (k >> 1): bit j of g(k) is the cell's bit of plane j, in
     one bytes object per plane.  Consecutive codes differ in one bit, so each
-    DP step costs the planes one XOR.
+    DP step costs the planes one XOR.  The constructor runs the DP once and
+    keeps only the reach bitset; the first `witness` or `witnesses` call runs
+    it again to build the planes, which are then kept.
     """
 
     def __init__(self, box: Box, generators: Iterable[Point]):
@@ -157,27 +161,39 @@ class ReachableSet(Set):
         # walked back along, so its offset is 0
         self._shifts = {c: sum(map(operator.mul, c, self._strides)) for c in fitting}
         self._offsets = [self._shifts.get(g.coords, 0) for g in self.generators]
-        n = len(self.generators)
-        planes = [0] * n.bit_length()
-        reach = 1  # bit 0, the origin, is the empty sum
-        for m, g in enumerate(self.generators, 1):
-            # from stage m - 1 to m the Gray code flips one bit, bit tz(m): flip it
-            # in every cell reached so far
-            planes[(m & -m).bit_length() - 1] ^= reach
-            reach = self._include(reach, g)
-        # a cell first reached at stage k now holds g(k) ^ g(n): XOR g(n) into every cell
-        gray = n ^ n >> 1
-        for j in range(gray.bit_length()):
-            if gray >> j & 1:
-                planes[j] ^= reach
+        for reach in self._stages():
+            pass  # keep the last stage, the whole DP
         if any(box.lo.coords):
             reach &= self._box_mask(box.lo.coords, hi)
         self._len = reach.bit_count()
-        size = cells // 8 + 1
-        self._bytes = reach.to_bytes(size, "little")  # one bytes view for every bit test
-        for j, plane in enumerate(planes):
-            planes[j] = plane.to_bytes(size, "little")
-        self._planes: list[bytes] = planes[::-1]  # most significant bit first
+        self._bytes = reach.to_bytes(cells // 8 + 1, "little")  # one bytes view for every bit test
+
+    def _stages(self) -> Iterator[int]:
+        """The DP over [0, box.hi]: the reach bitset of stages 0..n, where stage
+        m has added the first m generators, each included or not."""
+        reach = 1  # bit 0, the origin, is the empty sum
+        yield reach
+        for g in self.generators:
+            reach = self._include(reach, g)
+            yield reach
+
+    @cached_property
+    def _planes(self) -> list[bytes]:
+        """The Gray-coded first-reach planes, most significant bit first, built
+        by a second pass of the DP on the first call and kept.  A cell first
+        reached at stage k is in stages k..n, and g(k) is the XOR of
+        g(m) ^ g(m + 1) over m = k..n - 1 and of g(n): so stage m < n XORs its
+        cells into the one plane where g(m) and g(m + 1) differ, bit tz(m + 1),
+        and stage n into the planes of the set bits of g(n)."""
+        n = len(self.generators)
+        planes = [0] * n.bit_length()
+        for m, reach in enumerate(self._stages()):
+            flips = (m + 1) & -(m + 1) if m < n else n ^ n >> 1
+            for j in range(flips.bit_length()):
+                if flips >> j & 1:
+                    planes[j] ^= reach
+        size = len(self._bytes)
+        return [plane.to_bytes(size, "little") for plane in reversed(planes)]
 
     @property
     def points(self) -> "ReachableSet":
@@ -225,9 +241,11 @@ class ReachableSet(Set):
     def _include(self, reach: int, g: Point) -> int:
         """One DP step: every reached cell q with q + g <= hi also reaches q + g.
         The padding keeps each shifted cell in its block, so one AND with the
-        box drops the sums past hi."""
+        box drops the sums past hi.  reach lies in the box already, so only the
+        shifted copy is ANDed: a step makes one temporary wider than the box,
+        not two, and on large boxes each one costs freshly mapped pages."""
         offset = self._shifts.get(g.coords)  # None for a generator past hi
-        return reach if offset is None else (reach | reach << offset) & self._inside
+        return reach if offset is None else reach | reach << offset & self._inside
 
     def row(self, y: int) -> int:
         """The cells (0..hi_x, y) of a 2D set as one int, bit x for cell (x, y);
@@ -254,7 +272,8 @@ class ReachableSet(Set):
 
     def witness(self, p: Point) -> Representation:
         """One representation of a reachable point: include the generator that
-        first reached the cell, step back by its offset, and repeat to the origin."""
+        first reached the cell, step back by its offset, and repeat to the origin.
+        The first call of this or of `witnesses` builds the planes (a second DP pass)."""
         if p not in self:
             raise ValidationError(f"{p} is not reachable inside the box")
         members: list[Point] = []
@@ -266,10 +285,12 @@ class ReachableSet(Set):
 
     def witnesses(self) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
         """(coords, members) for every point, in iteration order, on coordinate
-        tuples: members is the sorted list of the coords of witness(p)'s
-        members, the generators' own tuples.  One memo, local to the call, maps
-        each cell walked to its members, so a walk stops at the first cell an
-        earlier walk passed and the walks share their tails."""
+        tuples: members lists the coords of witness(p)'s members, the
+        generators' own tuples, in `self.generators` order (a walk meets them
+        in falling stage order and builds members from the memoized tail up).
+        One memo, local to the call, maps each cell walked to its members, so
+        a walk stops at the first cell an earlier walk passed and the walks
+        share their tails."""
         gens = [g.coords for g in self.generators]
         strides, offsets = self._strides, self._offsets
         memo: dict[int, tuple[tuple[int, ...], ...]] = {0: ()}
@@ -284,7 +305,7 @@ class ReachableSet(Set):
             for cell, k in reversed(path):
                 members += (gens[k - 1],)
                 memo[cell] = members
-            yield c, sorted(members)
+            yield c, list(members)
 
 
 def _bit(view: bytes, i: int) -> int:

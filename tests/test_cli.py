@@ -195,6 +195,8 @@ class TestDyadic:
             )
             for y in range(24, 1, -1)
         ]
+        # repeated rows, so the per-cell definition also covers the writer's row memo
+        assert len(set(rows)) < len(rows)
 
         def refuse(a, b):
             raise AssertionError("dyadic map tested a cell with in_exceptional")

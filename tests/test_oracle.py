@@ -237,6 +237,19 @@ def test_first_reach_decodes_the_gray_planes(n):
     assert {p.coords: reach._first_reach(reach._index(p)) for p in reach} == first
 
 
+def count_steps(monkeypatch) -> list:
+    """The generators of every DP step that ReachableSet runs from now on, in order."""
+    include = ReachableSet._include
+    steps = []
+
+    def counted(self, reach, g):
+        steps.append(g)
+        return include(self, reach, g)
+
+    monkeypatch.setattr(ReachableSet, "_include", counted)
+    return steps
+
+
 class TestMembershipSearch:
     @settings(deadline=None, max_examples=80)
     @given(sets_and_boxes())
@@ -454,28 +467,50 @@ class TestReachableSet:
         assert Point((2047, 10)) not in reach
 
     def test_witness_memory_is_bounded(self, monkeypatch):
-        # the first witness adds O(cells * log n) bits and reruns no DP step
+        # the first witness adds O(cells * log n) bits by one more pass of the
+        # DP; later witnesses rerun no DP step
         hi = Point((2047, 2047))
         gens = dyadic.dyadic_generators(hi)
-        include = ReachableSet._include
-        steps = []
-
-        def counted(self, reach, g):
-            steps.append(g)
-            return include(self, reach, g)
-
-        monkeypatch.setattr(ReachableSet, "_include", counted)
+        steps = count_steps(monkeypatch)
         tracemalloc.start()
         try:
             reach = fs_enumerate(gens, Box(Point((1, 1)), hi))
+            enumerated = list(steps)
             rep = reach.witness(Point((2047, 11)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16_000_000
-        assert steps == list(reach.generators)
+        one_pass = list(reach.generators)
+        assert enumerated == one_pass
+        assert steps == 2 * one_pass
+        reach.witness(next(iter(reach)))
+        next(reach.witnesses())
+        assert steps == 2 * one_pass
         # 2047 = 1 + 2 + ... + 1024, each power once with second coordinate 1
         assert [m.coords for m in rep.members] == [(1 << i, 1) for i in range(11)]
+
+    def test_set_without_witnesses_builds_no_planes(self, monkeypatch):
+        lo, hi = Point((3, 2)), Point((40, 24))
+        steps = count_steps(monkeypatch)
+        reach = fs_enumerate(dyadic.dyadic_generators(hi), Box(lo, hi))
+        assert Point((40, 24)) in reach and Point((7, 2)) not in reach
+        assert len(reach) == len(list(reach)) == len(reach.points) > 0
+        assert reach.row(5) and not reach.row(30)
+        assert steps == list(reach.generators)
+        assert "_planes" not in vars(reach)
+
+    @settings(deadline=None, max_examples=60)
+    @given(sets_and_boxes(), st.randoms(use_true_random=False))
+    def test_witnesses_come_in_generator_order(self, case, rng):
+        X, box = case
+        gens = list(X)
+        rng.shuffle(gens)
+        reach = ReachableSet(box, gens)
+        order = {g.coords: j for j, g in enumerate(gens)}
+        for c, members in reach.witnesses():
+            assert [order[m] for m in members] == sorted(order[m] for m in members)
+            assert sorted(members) == [m.coords for m in reach.witness(Point(c)).members]
 
     @settings(deadline=None, max_examples=60)
     @given(sets_and_boxes())
