@@ -249,15 +249,15 @@ class ReachableSet(Set):
 
     def row(self, y: int) -> int:
         """The cells (0..hi_x, y) of a 2D set as one int, bit x for cell (x, y);
-        0 for a row outside the box."""
-        if self.box.dim != 2:
-            raise ValidationError(f"row needs a 2D set, got {self.box.dim}D")
-        width = self.box.hi.coords[0] + 1
-        if not 0 <= y <= self.box.hi.coords[1]:
+        0 for a row outside the box.  A 1D set is its one row, y = 0."""
+        if self.box.dim > 2:
+            raise ValidationError(f"row needs a 1D or 2D set, got {self.box.dim}D")
+        hx, hy = (*self.box.hi.coords, 0)[:2]  # a 1D set's one row has y = 0
+        if not 0 <= y <= hy:
             return 0
         start = y * self._strides[1]
-        chunk = self._bytes[start >> 3 : ((start + width) >> 3) + 1]
-        return int.from_bytes(chunk, "little") >> (start & 7) & ((1 << width) - 1)
+        chunk = self._bytes[start >> 3 : ((start + hx + 1) >> 3) + 1]
+        return int.from_bytes(chunk, "little") >> (start & 7) & ((1 << (hx + 1)) - 1)
 
     def _first_reach(self, i: int) -> int:
         """The first-reach index k of cell i, decoded from its Gray code in the
@@ -339,22 +339,22 @@ def fs_enumerate(X: GeneratorSet, box: Box, cell_cap: int = DEFAULT_CELL_CAP) ->
     return ReachableSet(box, X.pruned_to(box.hi))
 
 
-def trm_table(values: Sequence[int], x_max: int) -> list[int]:
+def trm_table(values: Sequence[int], x_max: int, cell_cap: int = DEFAULT_CELL_CAP) -> list[int]:
     """trm(x) for every x in [0, x_max]: max subset size summing to x, 0 if none.
 
     (trm(0) = 0 is the empty sum; for x >= 1 a zero means not representable.)
+    x is a sum of j values exactly when (x, j) is in FS({(a, 1)}): one DP over
+    [0, x_max] x [0, J], J the count of smallest values summing to <= x_max,
+    refused above cell_cap cells.  The walk yields rows in ascending order, so a
+    dict of its (x, j) cells keeps the largest j, trm(x).
     """
     check_ascending(values, "values")
-    NEG = -1
-    best = [NEG] * (x_max + 1)
-    best[0] = 0
-    for a in values:
-        if a > x_max:
-            break
-        for s in range(x_max, a - 1, -1):
-            if best[s - a] >= 0 and best[s - a] + 1 > best[s]:
-                best[s] = best[s - a] + 1
-    return [max(b, 0) for b in best]
+    if x_max < 0:
+        raise ValidationError("x_max must be >= 0")
+    J = sum(1 for s in accumulate(values) if s <= x_max)
+    lift = GeneratorSet(tuple(Point((a, 1)) for a in values))
+    last = dict(fs_enumerate(lift, Box(Point((0, 0)), Point((x_max, J))), cell_cap)._cells())
+    return [last.get(x, 0) for x in range(x_max + 1)]
 
 
 def trm(values: Sequence[int], x: int) -> int:

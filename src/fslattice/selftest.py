@@ -55,7 +55,7 @@ def crit_cone_completeness(seed: int, cell_cap: int) -> dict:
     X, checked, failures = cone.check_window(spec, 80)
     box = Box(Point((0, 0)), Point((40, 40)))
     sub = [p for p in box.points_lex() if not p.is_zero and spec.in_cone(p)]
-    reach = fs_enumerate(X.all_elements().pruned_to(box.hi), box, cell_cap)
+    reach = fs_enumerate(X.all_elements(), box, cell_cap)
     oracle_misses = [str(p) for p in sub if p not in reach.points]
     return {
         "passed": not failures and not oracle_misses,
@@ -277,7 +277,7 @@ def crit_five_squares(seed: int, cell_cap: int) -> dict:
 
 
 def crit_trm_bound(seed: int, cell_cap: int) -> dict:
-    table = trm_table(list(range(1, 101)), 200)
+    table = trm_table(list(range(1, 101)), 200, cell_cap)
     violations = []
     for x in range(1, 201):
         t = table[x]

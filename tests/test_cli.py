@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fslattice
-from fslattice import cli, cone, dyadic
+from fslattice import cli, cone, dyadic, gaps
 from fslattice.cli import _json_text, main
 from fslattice.core import Box, GeneratorSet, Point, Representation, validate_representation
 from fslattice.oracle import fs_enumerate
@@ -443,6 +443,8 @@ class TestExitCodes:
             (["gap", "build", "--A", "a40.json", "--B", "b.json", "--L", "3"], "100"),
             (["gap", "build", "--A", "a40.json", "--B", "b.json", "--L", "10000,10000"], None),
             (["fs", "check", "--generators", "line.json", "--target", "300,4"], "1000"),
+            # the AP search's 31 cells fit; trm over the odd slice needs 31 * 6 = 186
+            (["gap", "rectangle", "--A", "a40.json", "--B", "b.json", "--T", "3", "--H", "30"], "100"),
         ],
         ids=[
             "dense-square",
@@ -461,6 +463,7 @@ class TestExitCodes:
             "gap-build-pairs",
             "gap-build-elements",
             "fs-check-search-nodes",
+            "gap-rectangle",
         ],
     )
     def test_point_count_above_cap(self, capsys, monkeypatch, tmp_path, argv, env):
@@ -497,6 +500,34 @@ class TestExitCodes:
         ):
             code, _, err = run(capsys, argv)
             assert code == 0, err
+
+    def test_gap_rectangle_runs_at_its_largest_dp(self, capsys, monkeypatch, tmp_path):
+        A, B, T, H = list(range(1, 41)), [1, 2, 3], 3, 30
+        report = gaps.dense_rectangle(A, B, T, H)
+        a1 = gaps.slice_interleaved(A, 2)[0]
+        merged = sorted(set(a1) | set(report.shift_elements))
+        b = report.interval[1]
+
+        def rows(values, x_max):  # the lifted trm DP's rows: 1 + the most terms within x_max
+            return 1 + sum(1 for r in range(1, len(values) + 1) if sum(values[:r]) <= x_max)
+
+        largest = max(
+            H + 1,  # the AP search over [0, H]
+            (H + 1) * rows(a1, H),  # trm over the slice
+            (b + 1) * rows(merged, b),  # trm over the shifted columns
+            (b + 1) * (report.height + 1),  # the measured rectangle's DP box
+        )
+        argv = ["gap", "rectangle", "--A", write_json(tmp_path / "a.json", A),
+                "--B", write_json(tmp_path / "b.json", B), "--T", str(T), "--H", str(H)]
+        monkeypatch.delenv("FSLATTICE_CAP", raising=False)
+        code, expected, _ = run(capsys, argv)
+        assert code == 0
+        monkeypatch.setenv("FSLATTICE_CAP", str(largest))
+        assert run(capsys, argv) == (0, expected, "")
+        monkeypatch.setenv("FSLATTICE_CAP", str(largest - 1))
+        assert run(capsys, argv) == (
+            2, "", f"resource error: enumeration domain has {largest} cells, above the cap of {largest - 1}\n"
+        )
 
     @pytest.mark.parametrize("command", ["build", "decompose", "verify"])
     def test_seed_box_is_charged(self, capsys, monkeypatch, tmp_path, command):

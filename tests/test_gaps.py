@@ -115,6 +115,36 @@ class TestFindAp:
         with pytest.raises(ResourceLimitError):
             gaps.find_ap_in_fs([1, 2, 4, 8, 16, 32], 40, cell_cap=40)
 
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.sets(st.integers(min_value=1, max_value=120), min_size=1, max_size=12),
+        st.integers(min_value=8, max_value=600),
+    )
+    def test_fold_is_the_residue_scan(self, values, H):
+        A1 = sorted(values)
+        sums = {0}
+        for a in A1:
+            sums |= {s + a for s in sums}
+        # every class c mod d, smallest d first, then smallest c, member by member
+        top = H - H // 8
+        expected = None
+        for d in range(1, H // 4 + 1):
+            for c in range(1, d + 1):
+                if all(x in sums for x in range(c, top + 1, d)):
+                    expected = (d, c)
+                    break
+            if expected:
+                break
+        result = gaps.find_ap_in_fs(A1, H)
+        assert result.found == (expected is not None)
+        if expected is None:
+            assert (result.difference, result.start, result.elements, result.density) == (0, 0, (), 0.0)
+            return
+        d, c = expected
+        assert (result.difference, result.start) == (d, c)
+        assert result.elements == tuple(x for x in range(c, H + 1, d) if x in sums)
+        assert result.density == len(range(c, H + 1, d)) / H
+
 
 class TestSumsetIterate:
     def test_progression_is_tight(self):

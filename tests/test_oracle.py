@@ -566,6 +566,17 @@ class TestReachableSet:
             for y in range(-1, hy + 2):
                 assert reach.row(y) == sum(1 << x for x in range(hx + 1) if (x, y) in wanted)
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.sets(st.integers(min_value=1, max_value=30), max_size=8),
+        st.integers(min_value=0, max_value=70),
+    )
+    def test_row_of_a_1d_set_is_its_bits(self, values, hi):
+        line = GeneratorSet.of(Point((a,)) for a in values)
+        reach = fs_enumerate(line, Box(Point((0,)), Point((hi,))))
+        assert reach.row(0) == sum(1 << p.coords[0] for p in reach)
+        assert reach.row(1) == reach.row(-1) == 0
+
     def test_row_needs_two_dimensions(self):
         reach = fs_enumerate(GeneratorSet.of([Point((1, 1, 1))]), Box(Point.zero(3), Point((2, 2, 2))))
         with pytest.raises(ValidationError):
@@ -605,6 +616,35 @@ class TestTrm:
             trm_table([2, 2], 5)
         with pytest.raises(ValidationError):
             trm([1, 2], 0)
+        with pytest.raises(ValidationError):
+            trm_table([1, 2], -1)
+
+    @pytest.mark.parametrize("values, x_max", [([1, 2, 3], 5), (list(range(1, 101)), 200), ([7], 3)])
+    def test_cap_counts_the_lifted_box(self, values, x_max):
+        # J counts the smallest values whose sum stays within x_max
+        J = sum(1 for r in range(1, len(values) + 1) if sum(values[:r]) <= x_max)
+        cells = (x_max + 1) * (J + 1)
+        assert trm_table(values, x_max, cell_cap=cells) == trm_table(values, x_max)
+        with pytest.raises(ResourceLimitError):
+            trm_table(values, x_max, cell_cap=cells - 1)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.sets(st.integers(min_value=1, max_value=60), max_size=20),
+        st.integers(min_value=0, max_value=300),
+    )
+    def test_matches_the_per_value_dp(self, values, x_max):
+        values = sorted(values)
+        # reference: a per-value counting DP, best[s] the most terms summing to s (-1: none)
+        best = [-1] * (x_max + 1)
+        best[0] = 0
+        for a in values:
+            if a > x_max:
+                break
+            for s in range(x_max, a - 1, -1):
+                if best[s - a] >= 0 and best[s - a] + 1 > best[s]:
+                    best[s] = best[s - a] + 1
+        assert trm_table(values, x_max) == [max(b, 0) for b in best]
 
     @settings(deadline=None, max_examples=50)
     @given(st.sets(st.integers(min_value=1, max_value=30), min_size=1, max_size=8))
