@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -18,6 +17,7 @@ from typing import Optional, Sequence
 
 from . import cone, dyadic, gaps
 from .core import (
+    DEFAULT_CELL_CAP,
     Box,
     GeneratorSet,
     Point,
@@ -26,7 +26,7 @@ from .core import (
     int_array,
     parse_point,
 )
-from .oracle import DEFAULT_CELL_CAP, bit_levels, fs_enumerate, fs_membership
+from .oracle import bit_levels, fs_enumerate, fs_membership
 from .selftest import payload_of, run_criteria
 
 EXIT_OK = 0
@@ -170,24 +170,6 @@ def read_json(path: str) -> object:
         raise ValidationError(f"{path}: JSON nested too deeply to decode") from exc
 
 
-def _check_cap(points: int, what: str, cap: int) -> None:
-    if points > cap:
-        raise ResourceLimitError(f"{what} has {points} points, above the cap of {cap}")
-
-
-def _check_seed_box(spec: cone.ConeSpec, cap: int) -> None:
-    """build_thin_generators scans every point of the seed's bounding box."""
-    _check_cap(math.prod(h + 1 for h in cone.seed_box(spec).hi.coords), "cone seed box", cap)
-
-
-def _thin_generators(spec: cone.ConeSpec, depth: int, cap: int) -> cone.ThinGeneratorSet:
-    """build_thin_generators, refused above the cap: its k rays hold about k * depth^2 bits."""
-    if depth >= 0:  # a negative depth is build_thin_generators' ValidationError
-        _check_cap(spec.k * (depth + 1) ** 2, "cone rays", cap)
-        _check_seed_box(spec, cap)
-    return cone.build_thin_generators(spec, depth)
-
-
 def _load_generators(path: str) -> GeneratorSet:
     return GeneratorSet.from_json(read_json(path))
 
@@ -322,7 +304,7 @@ def _cmd_fs(args, cap: int) -> int:
 def _cmd_cone(args, cap: int) -> int:
     if args.command == "build":
         spec = _parse_cone_vectors(args.v)
-        X = _thin_generators(spec, args.depth, cap)
+        X = cone.build_thin_generators(spec, args.depth, cap)
         _emit(X.to_json(), args.out)
         return EXIT_OK
     data = read_json(args.spec)
@@ -336,17 +318,14 @@ def _cmd_cone(args, cap: int) -> int:
         depth = max(
             data.get("depth", cone.default_depth(spec, target)), cone.required_depth(spec, target)
         )
-        rep = cone.decompose(spec, _thin_generators(spec, depth, cap), target)
+        rep = cone.decompose(spec, cone.build_thin_generators(spec, depth, cap), target)
         _emit({"depth": depth, "representation": rep.to_json()}, args.out)
         return EXIT_OK
     # verify
-    limit = args.max
-    _check_cap((limit + 1) ** spec.k, "cone verify window", cap)
-    _check_seed_box(spec, cap)
-    _, checked, failures = cone.check_window(spec, limit)
+    _, checked, failures = cone.check_window(spec, args.max, cap)
     _emit(
         {
-            "max": limit,
+            "max": args.max,
             "checked": checked,
             "passed": not failures,
             "failing_point": failures[0].to_json() if failures else None,
@@ -377,9 +356,8 @@ def _cmd_dyadic(args, cap: int) -> int:
     if args.command == "map":
         box = _parse_box(args.box)
         _require_2d(box, "dyadic map")
-        reach = fs_enumerate(
-            dyadic.dyadic_generators(box.hi), box, cell_cap=cap
-        )
+        dyadic.check_corner(box.lo)  # before the DP, not after it
+        reach = fs_enumerate(dyadic.dyadic_generators(box.hi), box, cell_cap=cap)
         rows = dyadic.exceptional_map(box.lo, box.hi, reach)
         _write_pgm(args.out, rows)
         sys.stdout.write(
@@ -388,8 +366,7 @@ def _cmd_dyadic(args, cap: int) -> int:
         )
         return EXIT_OK
     if args.command == "empty-square":
-        _check_cap(args.D**2, "empty square", cap)
-        cert = dyadic.empty_square(args.D)
+        cert = dyadic.empty_square(args.D, cap)
         payload = {
             "x0": dyadic.bit_positions(cert.square.x0),
             "y0": dyadic.bit_positions(cert.square.y0),
@@ -400,11 +377,7 @@ def _cmd_dyadic(args, cap: int) -> int:
             payload["verified"] = not dyadic.empty_square_reach(cert, cap)
         _emit(payload, args.out)
         return EXIT_OK
-    if args.R >= cap.bit_length():  # 2^R > cell_cap, without forming 2^R
-        raise ResourceLimitError(
-            f"dense square has 2^{args.R} points, above the cap of {cap}"
-        )
-    _emit(dataclasses.asdict(dyadic.dense_square_count(args.R)), args.out)
+    _emit(dataclasses.asdict(dyadic.dense_square_count(args.R, cap)), args.out)
     return EXIT_OK
 
 
@@ -413,12 +386,7 @@ def _cmd_gap(args, cap: int) -> int:
         A = _load_ints(args.A)
         B = _load_ints(args.B)
         L = [int(v) for v in args.L.split(",")]
-        # build_gap tabulates every pair sum of each of the len(L) slices of A
-        pairs = sum(math.comb(len(s), 2) for s in gaps.slice_interleaved(A, len(L)))
-        if pairs > cap:
-            raise ResourceLimitError(f"gap slices have {pairs} pairs, above the cap of {cap}")
-        _check_cap(math.prod(L), "gap", cap)
-        g = gaps.build_gap(A, B, L)
+        g = gaps.build_gap(A, B, L, cap)
         _emit(g.to_json(), args.out)
         return EXIT_OK
     if args.command == "rectangle":
@@ -427,8 +395,7 @@ def _cmd_gap(args, cap: int) -> int:
         )
         _emit(report.to_json(), args.out)
         return EXIT_OK
-    _check_cap(args.hi, "five-squares range [1, hi]", cap)  # the DP decides every n up to hi
-    failures = gaps.five_squares_check(args.lo, args.hi)
+    failures = gaps.five_squares_check(args.lo, args.hi, cap)
     _emit({"lo": args.lo, "hi": args.hi, "failures": failures}, args.out)
     return EXIT_OK
 

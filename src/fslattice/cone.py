@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 from .core import (
     COORDS,
+    DEFAULT_CELL_CAP,
     Box,
     DepthError,
     DomainError,
@@ -33,6 +34,7 @@ from .core import (
     Point,
     Representation,
     ValidationError,
+    charge,
     validate_representation,
 )
 
@@ -187,19 +189,19 @@ class ThinGeneratorSet:
         }
 
 
-def seed_box(spec: ConeSpec) -> Box:
-    """The box build_thin_generators scans for the seed: [0, k * max_l v_l[j]] on axis j."""
-    k = spec.k
-    return Box(Point.zero(k), Point(tuple(k * max(v.coords[j] for v in spec.v) for j in range(k))))
-
-
-def build_thin_generators(spec: ConeSpec, depth: int) -> ThinGeneratorSet:
-    """Enumerate the seed simplex exactly and attach dyadic rays of the given depth."""
+def build_thin_generators(
+    spec: ConeSpec, depth: int, cell_cap: int = DEFAULT_CELL_CAP
+) -> ThinGeneratorSet:
+    """Enumerate the seed simplex exactly and attach dyadic rays of the given depth.
+    Charges the rays' k * (depth + 1)^2 bits, then the seed box it scans, to cell_cap."""
     if depth < 0:
         raise ValidationError("depth must be >= 0")
     k = spec.k
+    charge(k * (depth + 1) ** 2, "cone rays", cell_cap)
+    hi = [k * max(axis) for axis in zip(*(v.coords for v in spec.v))]  # the seed's bounding box
+    charge(math.prod(h + 1 for h in hi), "cone seed box", cell_cap)
     seed_points = []
-    for p in seed_box(spec).points_lex():
+    for p in Box(Point.zero(k), Point(tuple(hi))).points_lex():
         nums, den = spec.coeff_numerators(p)
         if not p.is_zero and all(x >= 0 for x in nums) and sum(nums) <= k * den:
             seed_points.append(p)
@@ -288,7 +290,9 @@ def decompose(spec: ConeSpec, X: ThinGeneratorSet, v: Point) -> Representation:
     return Representation(tuple(sorted(members, key=COORDS)), v)
 
 
-def check_window(spec: ConeSpec, limit: int) -> tuple[ThinGeneratorSet, int, list[Point]]:
+def check_window(
+    spec: ConeSpec, limit: int, cell_cap: int = DEFAULT_CELL_CAP
+) -> tuple[ThinGeneratorSet, int, list[Point]]:
     """Decompose every nonzero cone point of [0, limit]^k, in lexicographic order.
 
     X is built once, at the default depth of the corner (limit, ..., limit),
@@ -299,10 +303,12 @@ def check_window(spec: ConeSpec, limit: int) -> tuple[ThinGeneratorSet, int, lis
     checked, and the points whose decomposition raises DepthError, fails
     validate_representation or uses a non-member of X.  Each point's
     numerators are computed once, in decompose, whose OutsideConeError marks
-    a point outside the cone.
+    a point outside the cone.  Charges the (limit + 1)^k window, then X's
+    rays and seed box, against cell_cap.
     """
     corner = Point((limit,) * spec.k)
-    X = build_thin_generators(spec, default_depth(spec, corner))
+    charge((limit + 1) ** spec.k, "cone verify window", cell_cap)
+    X = build_thin_generators(spec, default_depth(spec, corner), cell_cap)
     checked = 0
     failures = []
     for p in Box(Point.zero(spec.k), corner).points_lex():

@@ -21,7 +21,16 @@ class DomainError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed the configured cell cap."""
+    """Work would exceed the configured cell cap."""
+
+
+DEFAULT_CELL_CAP = 2**26
+
+
+def charge(count: int, what: str, cap: int, unit: str = "points", verb: str = "has") -> None:
+    """Refuse work of `count` units above the cell cap, before it is done."""
+    if count > cap:
+        raise ResourceLimitError(f"{what} {verb} {count} {unit}, above the cap of {cap}")
 
 
 class DepthError(DomainError):

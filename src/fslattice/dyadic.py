@@ -16,7 +16,8 @@ from bisect import insort
 from dataclasses import dataclass
 
 from . import oracle
-from .core import Box, DomainError, GeneratorSet, Point, Representation, ValidationError
+from .core import Box, DomainError, GeneratorSet, Point, Representation, ValidationError, charge
+from .core import ResourceLimitError
 
 
 def in_exceptional(a: int, b: int) -> bool:
@@ -122,17 +123,19 @@ class EmptySquareCertificate:
         return all(t > self.square.side + 1 for t in self.min_terms)
 
 
-def empty_square(D: int) -> EmptySquareCertificate:
+def empty_square(D: int, cell_cap: int = oracle.DEFAULT_CELL_CAP) -> EmptySquareCertificate:
     """The proof square with corner x0 = 2^(D+1) + ... + 2^(2D+1), y0 = 1.
 
     Every interior point (x0+j, 1+k), 1 <= j,k <= D, needs at least D+2 powers
     of two in its first coordinate while the second coordinate caps the number
     of grid summands at 1+k <= D+1.  The term count depends on j alone: x0 has
     D+1 one-bits above bit D and j < 2^(D+1) never carries into them, so
-    popcount(x0 + j) = D + 1 + popcount(j); D entries certify all D^2 points.
+    popcount(x0 + j) = D + 1 + popcount(j); D entries certify all D^2 points,
+    which it charges against cell_cap.
     """
     if D < 1:
         raise ValidationError("D must be >= 1")
+    charge(D * D, "empty square", cell_cap)
     x0 = (1 << (2 * D + 2)) - (1 << (D + 1))
     min_terms = tuple((x0 + j).bit_count() for j in range(1, D + 1))
     return EmptySquareCertificate(square=SquareSpec(x0=x0, y0=1, side=D), min_terms=min_terms)
@@ -171,16 +174,19 @@ def _max_doubling(R: int, k: int) -> int:
     return ((1 << R) // k).bit_length() - 1
 
 
-def dense_square_count(R: int) -> DenseSquareReport:
+def dense_square_count(R: int, cell_cap: int = oracle.DEFAULT_CELL_CAP) -> DenseSquareReport:
     """Count Z = {(n, k*2^f)} inside the square anchored at 2^(2^(R+1)).
 
     Computed two independent ways and asserted equal: the binomial formula
     over term counts k, and direct enumeration of n = 2^(2^(R+1)) + r with
     r < 2^R.  Every enumerated point's horizontal representation is checked
-    with ints, the corner kept as its bit position 2^(R+1).
+    with ints, the corner kept as its bit position 2^(R+1).  Charges the 2^R
+    values of r against cell_cap.
     """
     if R < 1:
         raise ValidationError("R must be >= 1")
+    if R >= cell_cap.bit_length():  # 2^R > cell_cap, without forming 2^R
+        raise ResourceLimitError(f"dense square has 2^{R} points, above the cap of {cell_cap}")
     per_k = []
     formula = 0
     for k in range(1, R + 2):
@@ -245,6 +251,12 @@ LEVEL_E_REACHABLE = 128
 LEVEL_OUTSIDE_E = 255
 
 
+def check_corner(lo: Point) -> None:
+    """E is defined for coordinates >= 1: reject a map box whose lower corner is below that."""
+    if min(lo.coords) < 1:
+        raise ValidationError("coordinates must be >= 1")
+
+
 def exceptional_map(box_lo: Point, box_hi: Point, reach: oracle.ReachableSet) -> list[bytes]:
     """Rows of level bytes (top row = max y) classifying each box point.
 
@@ -253,10 +265,9 @@ def exceptional_map(box_lo: Point, box_hi: Point, reach: oracle.ReachableSet) ->
     runs in E come from reach.row(y).  2^y is formed only when y <
     hx.bit_length(), that is when 2^y <= hx.
     """
+    check_corner(box_lo)
     lx, ly = box_lo.coords
     hx, hy = box_hi.coords
-    if lx < 1 or ly < 1:
-        raise ValidationError("coordinates must be >= 1")
     width = hx - lx + 1
     rows = []
     for y in range(hy, ly - 1, -1):

@@ -23,7 +23,9 @@ from .core import (
     GeneratorSet,
     Point,
     Representation,
+    ResourceLimitError,
     ValidationError,
+    charge,
     check_ascending,
 )
 from .oracle import DEFAULT_CELL_CAP, fs_enumerate, trm_table
@@ -105,7 +107,7 @@ def slice_interleaved(values: Sequence[int], parts: int) -> list[list[int]]:
 
 
 def build_gap(
-    A: Sequence[int], B: Sequence[int], L: Sequence[int]
+    A: Sequence[int], B: Sequence[int], L: Sequence[int], cell_cap: int = DEFAULT_CELL_CAP
 ) -> GapDescription:
     """Proper homogeneous GAP of shape L_1 x ... x L_D inside FS(A x B).
 
@@ -114,7 +116,9 @@ def build_gap(
     chosen from the top dimension down, each earlier stage constrained to a
     budget that keeps the separation d_{i+1} > sum_{j<=i} L_j d_j available;
     at finite scale a first-come greedy choice would exhaust the slice range
-    before the later, larger differences could clear it.
+    before the later, larger differences could clear it.  Once the input
+    checks out, it charges the pair sums it tabulates, C(|slice|, 2) per
+    slice, then the prod(L) GAP elements, against cell_cap.
     """
     check_ascending(A, "A")
     check_ascending(B, "B")
@@ -124,6 +128,8 @@ def build_gap(
         raise ValidationError("lengths must be positive")
     D = len(L)
     slices = slice_interleaved(A, D)
+    charge(sum(math.comb(len(s), 2) for s in slices), "gap slices", cell_cap, "pairs", "have")
+    charge(math.prod(L), "gap", cell_cap)
     b1, b2 = B[0], B[1]
     vstep = b1 + b2
 
@@ -205,6 +211,8 @@ def find_ap_in_fs(A1: Sequence[int], H: int, cell_cap: int = DEFAULT_CELL_CAP) -
     an ordinary result, not an exception.  Class c mod d is full exactly when
     bit c - 1 of the holes (x in [1, top] outside FS(A1)) folded onto d bits is
     clear; log(top/d) shift-and-ORs fold them, ~H^2/128 word operations in all.
+    The DP charges its H + 1 cells; the fold charges ceil(top/32) word
+    operations per d as it goes, refused once their total passes cell_cap.
     """
     check_ascending(A1, "A1")
     if H < 8:
@@ -213,7 +221,10 @@ def find_ap_in_fs(A1: Sequence[int], H: int, cell_cap: int = DEFAULT_CELL_CAP) -
     reached = fs_enumerate(line, Box(Point((0,)), Point((H,))), cell_cap=cell_cap).row(0)
     top = H - H // 8
     holes = ~reached >> 1 & ((1 << top) - 1)  # bit x - 1 for each hole x
+    words = -(-top // 32)  # the fold's word operations for one d
     for d in range(1, H // 4 + 1):
+        if d * words > cell_cap:
+            raise ResourceLimitError(f"AP search needs over {cell_cap} word operations, the cap")
         fold, width = holes, top
         while width > d:
             width = -(-width // (2 * d)) * d  # a multiple of d, at least half
@@ -381,20 +392,20 @@ def dense_rectangle(
     )
 
 
-def five_squares_check(lo: int, hi: int) -> list[int]:
+def five_squares_check(lo: int, hi: int, cell_cap: int = DEFAULT_CELL_CAP) -> list[int]:
     """All n in [lo, hi] with no representation as 5 distinct positive squares.
 
     Empty for lo >= 1024; below that threshold failures are expected and the
     check is still exhaustive.  n is such a sum iff (n, 5) is in
     FS({(r^2, 1) : r >= 1}), so one include-or-not DP over [0, hi] x [0, 5]
-    decides every n <= hi at once, and its row 5 is read off.  The DP refuses
-    (hi + 1) * 6 cells above DEFAULT_CELL_CAP; bounding the roots by the cap
+    decides every n <= hi at once, and its row 5 is read off.  The DP charges
+    its (hi + 1) * 6 cells against cell_cap; bounding the roots by the cap
     keeps that refusal cheap.
     """
     if lo < 1 or hi < lo:
         raise ValidationError("need 1 <= lo <= hi")
-    roots = range(1, math.isqrt(min(hi, DEFAULT_CELL_CAP)) + 1)
+    roots = range(1, math.isqrt(min(hi, cell_cap)) + 1)
     squares = GeneratorSet.of(Point((r * r, 1)) for r in roots)
-    row = fs_enumerate(squares, Box(Point((0, 0)), Point((hi, 5)))).row(5)
+    row = fs_enumerate(squares, Box(Point((0, 0)), Point((hi, 5))), cell_cap).row(5)
     bits = format(row, f"0{hi + 1}b")[::-1]  # bits[n] is bit n, read in one pass
     return [n for n in range(lo, hi + 1) if bits[n] == "0"]

@@ -15,16 +15,16 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     COORDS,
+    DEFAULT_CELL_CAP,
     Box,
     GeneratorSet,
     Point,
     Representation,
     ResourceLimitError,
     ValidationError,
+    charge,
     check_ascending,
 )
-
-DEFAULT_CELL_CAP = 2**26
 
 
 def fs_membership(
@@ -329,13 +329,9 @@ def fs_enumerate(X: GeneratorSet, box: Box, cell_cap: int = DEFAULT_CELL_CAP) ->
 
     The DP runs over [0, box.hi] (partial sums of nonnegative vectors are
     monotone, so nothing outside that domain can contribute), one generator at
-    a time: include it or not.
+    a time: include it or not.  Charges the cells of [0, box.hi] against cell_cap.
     """
-    cells = _cells(box.hi)
-    if cells > cell_cap:
-        raise ResourceLimitError(
-            f"enumeration domain has {cells} cells, above the cap of {cell_cap}"
-        )
+    charge(_cells(box.hi), "enumeration domain", cell_cap, "cells")
     return ReachableSet(box, X.pruned_to(box.hi))
 
 

@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -185,6 +187,18 @@ class TestDyadic:
         assert code == 0
         assert pgm.read_text().startswith("P2\n16 16\n255\n")
 
+    @pytest.mark.parametrize("box", ["0,1,2047,2047", "1,0,2047,2047"])
+    def test_map_checks_its_corner_before_the_dp(self, capsys, monkeypatch, tmp_path, box):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran the DP")
+
+        monkeypatch.setattr(cli, "fs_enumerate", refuse)
+        pgm = tmp_path / "e.pgm"
+        assert run(capsys, ["dyadic", "map", "--box", box, "--out", str(pgm)]) == (
+            1, "", "error: coordinates must be >= 1\n"
+        )
+        assert not pgm.exists()
+
     def test_map_makes_no_per_cell_call(self, capsys, monkeypatch, tmp_path):
         lo, hi = Point((3, 2)), Point((40, 24))
         reach = fs_enumerate(dyadic.dyadic_generators(hi), Box(lo, hi))
@@ -253,6 +267,99 @@ class TestSelftest:
         _, first, _ = run(capsys, ["selftest", "--criteria", "5"])
         _, second, _ = run(capsys, ["selftest", "--criteria", "5"])
         assert first == second
+
+
+def _over(count, what, unit="points", verb="has"):
+    """A charge as (count, the refusal it makes), {cap} standing for the cap."""
+    return count, f"{what} {verb} {count} {unit}, above the cap of {{cap}}"
+
+
+def _cone(v, depth):
+    """build_thin_generators' charges: k rays of depth + 1 elements, each of
+    up to depth + 1 bits, then the seed box, [0, k * max_l v_l[j]] on axis j."""
+    k = len(v)
+    seed = math.prod(k * max(axis) + 1 for axis in zip(*v))
+    return [_over(k * (depth + 1) ** 2, "cone rays"), _over(seed, "cone seed box")]
+
+
+def _at_cap_cases(tmp):
+    """Every command that charges the cap, on a small input: (argv, charges),
+    the charges in the order the command makes them."""
+    cone_a = write_json(tmp / "cone-a.json", {"v": [[1, 2], [2, 1]]})
+    cone_b = write_json(tmp / "cone-b.json", {"v": [[1, 1], [1, 2]]})
+    A9 = write_json(tmp / "a9.json", list(range(1, 10)))
+    A40 = write_json(tmp / "a40.json", list(range(1, 41)))
+    B, B3 = write_json(tmp / "b.json", [1, 2]), write_json(tmp / "b3.json", [1, 2, 3])
+    x0 = 2**8 - 2**4  # the corner of the D = 3 proof square; its box is [x0 + 1, x0 + 3] x [2, 4]
+    rect = gaps.dense_rectangle(list(range(1, 41)), [1, 2, 3], 3, 30)
+    return {
+        # [0, (300, 4)] has 1,505 cells; below that the search runs, and it needs 4,768 nodes
+        "fs-check": (
+            ["fs", "check", "--generators", write_json(tmp / "line.json", [[i, 1] for i in range(1, 41)]),
+             "--target", "300,4"],
+            [(301 * 5, "membership search needs over {cap} nodes, the cap")],
+        ),
+        "fs-enumerate": (
+            ["fs", "enumerate", "--generators", write_json(tmp / "g.json", [[1, 1], [2, 2], [4, 2]]),
+             "--box", "1,0,5,3"],
+            [_over(6 * 4, "enumeration domain", "cells")],
+        ),
+        "cone-build": (["cone", "build", "--v", "1,2;2,1", "--depth", "5"], _cone([[1, 2], [2, 1]], 5)),
+        # the default depth, ceil(log2 18) + 2 = 7, is deeper than the 3 that (9, 18) needs
+        "cone-decompose": (
+            ["cone", "decompose", "--spec", cone_a, "--point", "9,18"], _cone([[1, 2], [2, 1]], 7)
+        ),
+        # the window, then the rays at the corner's default depth, ceil(log2 3) + 2 = 4
+        "cone-verify": (
+            ["cone", "verify", "--spec", cone_b, "--max", "3"],
+            [_over(4**2, "cone verify window")] + _cone([[1, 1], [1, 2]], 4),
+        ),
+        "dyadic-map": (
+            ["dyadic", "map", "--box", "1,1,16,16", "--out", str(tmp / "map.pgm")],
+            [_over(17 * 17, "enumeration domain", "cells")],
+        ),
+        "dyadic-empty-square": (["dyadic", "empty-square", "--D", "4"], [_over(4 * 4, "empty square")]),
+        "dyadic-empty-square-verify": (
+            ["dyadic", "empty-square", "--D", "3", "--verify"],
+            [_over(3 * 3, "empty square"), _over((x0 + 4) * 5, "enumeration domain", "cells")],
+        ),
+        "dyadic-dense-square": (
+            ["dyadic", "dense-square", "--R", "4"],
+            [(2**4, "dense square has 2^4 points, above the cap of {cap}")],
+        ),
+        # two slices of 5 and 4: 10 + 6 pairs, then 1 * 2 GAP elements
+        "gap-build": (
+            ["gap", "build", "--A", A9, "--B", B, "--L", "1,2"],
+            [_over(10 + 6, "gap slices", "pairs", "have"), _over(2, "gap")],
+        ),
+        # its largest DP is the measured rectangle's (test_gap_rectangle_runs_at_its_largest_dp)
+        "gap-rectangle": (
+            ["gap", "rectangle", "--A", A40, "--B", B3, "--T", "3", "--H", "30"],
+            [_over((rect.interval[1] + 1) * (rect.height + 1), "enumeration domain", "cells")],
+        ),
+        # the DP over [0, 16] x [0, 5]
+        "gap-five-squares": (
+            ["gap", "five-squares", "--lo", "1", "--hi", "16"], [_over(17 * 6, "enumeration domain", "cells")]
+        ),
+    }
+
+
+# the commands that charge nothing against the cap
+CHARGES_NOTHING = {"dyadic check", "selftest"}
+
+
+def _commands(parser, names=()):
+    """The names of every subcommand under parser, e.g. "cone build"."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(names)}
+    return set().union(*(_commands(p, names + (name,)) for name, p in subs[0].choices.items()))
+
+
+def test_every_command_decides_its_cap(tmp_path):
+    charged = {" ".join(argv[:2]) for argv, _ in _at_cap_cases(tmp_path).values()}
+    assert not charged & CHARGES_NOTHING
+    assert _commands(cli.build_parser()) == charged | CHARGES_NOTHING
 
 
 class TestExitCodes:
@@ -485,21 +592,30 @@ class TestExitCodes:
         assert err.startswith("resource error: ") and err.count("\n") == 1
 
     def test_point_count_at_cap_runs(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("FSLATTICE_CAP", "16")
-        # a 16-point window; the seed box is [0,2] x [0,4], 15 points
-        spec = write_json(tmp_path / "cone.json", {"v": [[1, 1], [1, 2]]})
-        # two slices of 5 and 4: 10 + 6 = 16 pairs
-        A = write_json(tmp_path / "a.json", list(range(1, 10)))
-        B = write_json(tmp_path / "b.json", [1, 2])
-        for argv in (
-            ["dyadic", "dense-square", "--R", "4"],
-            ["dyadic", "empty-square", "--D", "4"],
-            ["cone", "verify", "--spec", spec, "--max", "3"],
-            ["gap", "five-squares", "--lo", "1", "--hi", "16"],
-            ["gap", "build", "--A", A, "--B", B, "--L", "1,2"],
-        ):
-            code, _, err = run(capsys, argv)
-            assert code == 0, err
+        """Each command runs at its largest charge as it does uncapped, and one
+        below that the first charge of that size refuses it."""
+        for name, (argv, charges) in _at_cap_cases(tmp_path).items():
+            largest = max(count for count, _ in charges)
+            refusal = next(text for count, text in charges if count == largest)
+            monkeypatch.delenv("FSLATTICE_CAP", raising=False)
+            code, expected, _ = run(capsys, argv)
+            assert code == 0, name
+            monkeypatch.setenv("FSLATTICE_CAP", str(largest))
+            assert run(capsys, argv) == (0, expected, ""), name
+            monkeypatch.setenv("FSLATTICE_CAP", str(largest - 1))
+            assert run(capsys, argv) == (
+                2, "", "resource error: " + refusal.format(cap=largest - 1) + "\n"
+            ), name
+
+    @pytest.mark.parametrize(
+        "cap, lo, hi, cells",
+        [("16", 1, 16, 17 * 6), ("20000000", 11184800, 11184810, 11184811 * 6)],
+    )
+    def test_five_squares_charges_its_dp_against_the_cap(self, capsys, monkeypatch, cap, lo, hi, cells):
+        monkeypatch.setenv("FSLATTICE_CAP", cap)
+        assert run(capsys, ["gap", "five-squares", "--lo", str(lo), "--hi", str(hi)]) == (
+            2, "", f"resource error: enumeration domain has {cells} cells, above the cap of {cap}\n"
+        )
 
     def test_gap_rectangle_runs_at_its_largest_dp(self, capsys, monkeypatch, tmp_path):
         A, B, T, H = list(range(1, 41)), [1, 2, 3], 3, 30

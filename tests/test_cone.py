@@ -10,6 +10,7 @@ from fslattice.core import (
     DomainError,
     GeneratorSet,
     Point,
+    ResourceLimitError,
     ValidationError,
     validate_representation,
 )
@@ -238,6 +239,41 @@ class TestBuildThinGenerators:
         assert Point((1, 2, 0)) not in X
 
 
+class TestCellCap:
+    """Each charge refuses one below its size, before any point is scanned."""
+
+    @pytest.fixture(autouse=True)
+    def no_scan(self, monkeypatch):
+        def refuse(box):
+            raise AssertionError("scanned a box")
+
+        monkeypatch.setattr(Box, "points_lex", refuse)
+
+    def test_rays_then_seed_box(self):
+        # depth 5: 2 rays of 6 elements, each of up to 6 bits; the seed box is [0, 4]^2
+        with pytest.raises(ResourceLimitError, match="^cone rays has 72 points, above the cap of 71$"):
+            cone.build_thin_generators(SPEC, 5, cell_cap=71)
+        with pytest.raises(ResourceLimitError, match="^cone seed box has 25 points, above the cap of 24$"):
+            cone.build_thin_generators(SPEC, 1, cell_cap=24)
+
+    def test_negative_depth_is_checked_first(self):
+        with pytest.raises(ValidationError):
+            cone.build_thin_generators(SPEC, -1, cell_cap=1)
+
+    def test_window_then_rays(self):
+        refusal = "^cone verify window has 441 points, above the cap of 440$"
+        with pytest.raises(ResourceLimitError, match=refusal):
+            cone.check_window(SPEC, 20, cell_cap=440)
+        # [0, 3]^2 has 16 points, but the corner's depth of 4 makes 2 * 5^2 ray bits
+        with pytest.raises(ResourceLimitError, match="^cone rays has 50 points, above the cap of 49$"):
+            cone.check_window(SPEC, 3, cell_cap=49)
+
+
+def test_charges_admit_their_size():
+    assert cone.build_thin_generators(SPEC, 5, cell_cap=72) == cone.build_thin_generators(SPEC, 5)
+    assert cone.check_window(SPEC, 20, cell_cap=441) == cone.check_window(SPEC, 20)
+
+
 class TestPeel:
     def test_ray_point(self):
         l, residual = cone.peel(SPEC, Point((9, 18)))
@@ -447,10 +483,10 @@ def test_check_window_computes_numerators_once(monkeypatch):
             calls.append(p)
         return numerators(self, p)
 
-    def build_uncounted(spec, depth):
+    def build_uncounted(spec, depth, *cap):
         counting[0] = False
         try:
-            return build(spec, depth)
+            return build(spec, depth, *cap)
         finally:
             counting[0] = True
 

@@ -6,12 +6,24 @@ from fslattice.core import (
     GeneratorSet,
     Point,
     Representation,
+    ResourceLimitError,
     ValidationError,
+    charge,
     int_array,
     parse_point,
     validate_representation,
     validate_sum,
 )
+
+
+def test_charge_refuses_only_above_the_cap():
+    charge(16, "cone rays", 16)
+    with pytest.raises(ResourceLimitError) as exc:
+        charge(17, "cone rays", 16)
+    assert str(exc.value) == "cone rays has 17 points, above the cap of 16"
+    with pytest.raises(ResourceLimitError) as exc:
+        charge(17, "gap slices", 16, "pairs", "have")
+    assert str(exc.value) == "gap slices have 17 pairs, above the cap of 16"
 
 
 class TestPoint:

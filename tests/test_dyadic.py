@@ -10,6 +10,7 @@ from fslattice.core import (
     DomainError,
     GeneratorSet,
     Point,
+    ResourceLimitError,
     ValidationError,
     validate_representation,
 )
@@ -174,6 +175,28 @@ class TestEmptySquare:
             tracemalloc.stop()
         assert peak < 1_000_000  # one tuple per point of the square took about 22 MB
         assert cert.all_unreachable() and len(cert.min_terms) == 400
+
+
+class TestCellCap:
+    def test_empty_square_charges_its_points(self):
+        assert dyadic.empty_square(4, cell_cap=16) == dyadic.empty_square(4)
+        with pytest.raises(ResourceLimitError, match="^empty square has 16 points, above the cap of 15$"):
+            dyadic.empty_square(4, cell_cap=15)
+        with pytest.raises(ValidationError):  # checked before the charge
+            dyadic.empty_square(-5, cell_cap=1)
+
+    def test_dense_square_charges_before_it_scans(self, monkeypatch):
+        assert dyadic.dense_square_count(4, cell_cap=16) == dyadic.dense_square_count(4)
+
+        def refuse(n):
+            raise AssertionError("scanned r")
+
+        monkeypatch.setattr(dyadic, "bit_positions", refuse)
+        with pytest.raises(ResourceLimitError, match="^dense square has 2\\^4 points, above the cap of 15$"):
+            dyadic.dense_square_count(4, cell_cap=15)
+        # 2^R is never formed
+        with pytest.raises(ResourceLimitError, match="2\\^1000000000000 points"):
+            dyadic.dense_square_count(10**12, cell_cap=2**40)
 
 
 class TestDenseSquare:

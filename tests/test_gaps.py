@@ -4,7 +4,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fslattice import gaps
+from fslattice import gaps, oracle
 from fslattice.core import (
     Box,
     DensityError,
@@ -84,6 +84,45 @@ class TestBuildGap:
         for cert, L in zip(g.certificates, g.lengths):
             assert cert.multiplicity >= L
             assert cert.x > 2 * cert.multiplicity
+
+
+class TestCellCap:
+    """Each charge refuses one below its size, before the work it counts."""
+
+    def test_gap_charges_pairs_then_elements(self, monkeypatch):
+        def refuse(values):
+            raise AssertionError("tabulated pair sums")
+
+        monkeypatch.setattr(gaps, "_pair_sums", refuse)
+        # two slices of 5 and 4: 10 + 6 pairs
+        with pytest.raises(ResourceLimitError, match="^gap slices have 16 pairs, above the cap of 15$"):
+            gaps.build_gap(list(range(1, 10)), [1, 2], [1, 2], cell_cap=15)
+        # two slices of 2: 2 pairs, then 5 * 5 GAP elements
+        with pytest.raises(ResourceLimitError, match="^gap has 25 points, above the cap of 24$"):
+            gaps.build_gap([1, 2, 3, 4], [1, 2], [5, 5], cell_cap=24)
+        with pytest.raises(ValidationError):  # the input is checked first: A is not ascending
+            gaps.build_gap([3, 2, 1], [1, 2], [1], cell_cap=1)
+
+    def test_gap_admits_its_size(self):
+        A, B, L = list(range(1, 61)), [1, 2], [3, 2]
+        assert gaps.build_gap(A, B, L, cell_cap=2 * 435) == gaps.build_gap(A, B, L)
+
+    def test_five_squares_charges_its_dp(self, monkeypatch):
+        assert gaps.five_squares_check(1, 16, cell_cap=102) == gaps.five_squares_check(1, 16)
+
+        def refuse(*args):
+            raise AssertionError("ran the DP")
+
+        monkeypatch.setattr(oracle, "ReachableSet", refuse)
+        # the DP over [0, 16] x [0, 5]
+        with pytest.raises(ResourceLimitError, match="^enumeration domain has 102 cells, above the cap of 101"):
+            gaps.five_squares_check(1, 16, cell_cap=101)
+
+    def test_ap_fold_is_charged_as_it_runs(self):
+        # FS([900]) has no full class: each of the 250 d's folds top = 875 bits, 28 words
+        assert not gaps.find_ap_in_fs([900], 1000, cell_cap=250 * 28).found
+        with pytest.raises(ResourceLimitError, match="^AP search needs over 6999 word operations, the cap$"):
+            gaps.find_ap_in_fs([900], 1000, cell_cap=250 * 28 - 1)
 
 
 class TestFindAp:
