@@ -7,7 +7,10 @@ cone by sums of distinct elements, while growing only logarithmically.  The
 decomposition is closed form: flooring the barycentric coefficients leaves a
 residual in the seed, and the binary digits of the floors pick distinct ray
 elements, so the ray depth a point needs (`required_depth`) is known before X
-is built.  `check_window` decomposes every cone point of a box against one X.
+is built.  The one decomposition is `decompose_coords`, on a point's
+coordinate tuple and its numerators (`ConeSpec.numerators`); `decompose`
+wraps it in checked Points, and `check_window` calls it directly for every
+cone point of a box against one X, walking the box as tuples.
 `peel` and the cover indices keep the paper's covering lemmas, and all three
 take one integer step, `face_cover_index`: the face point nums / sum(nums)
 has a coordinate l reaching lam = p/q iff nums[l]*q >= p*sum(nums).
@@ -21,11 +24,10 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, product
 from typing import Optional, Sequence
 
 from .core import (
-    COORDS,
     DEFAULT_CELL_CAP,
     Box,
     DepthError,
@@ -35,7 +37,7 @@ from .core import (
     Representation,
     ValidationError,
     charge,
-    validate_representation,
+    validate_sum,
 )
 
 
@@ -67,15 +69,10 @@ def _adjugate_det(matrix: list[list[int]]) -> tuple[list[list[int]], int]:
 
 
 class OutsideConeError(DomainError):
-    """A point outside the cone.  The message is formatted only when shown:
-    check_window meets thousands of these and never shows one."""
+    """A point outside the cone."""
 
     def __init__(self, point: Point):
-        super().__init__(point)
-        self.point = point
-
-    def __str__(self) -> str:
-        return f"{self.point} is not in the cone"
+        super().__init__(f"{point} is not in the cone")
 
 
 @dataclass(frozen=True)
@@ -94,12 +91,14 @@ class ConeSpec:
             if sum(1 for c in p.coords if c != 0) < 2:
                 raise ValidationError(f"generator {p} is parallel to a coordinate axis")
         # cache the exact inverse as integer numerators over a positive denominator
-        num, den = _adjugate_det([[self.v[j].coords[i] for j in range(k)] for i in range(k)])
+        axes = tuple(zip(*(p.coords for p in self.v)))  # axes[i][l] = v_l[i]
+        num, den = _adjugate_det([list(axis) for axis in axes])
         if den < 0:
             den = -den
             num = [[-x for x in row] for row in num]
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_num", tuple(map(tuple, num)))
+        object.__setattr__(self, "_axes", axes)
 
     @property
     def k(self) -> int:
@@ -107,12 +106,15 @@ class ConeSpec:
 
     def coeff_numerators(self, p: Point) -> tuple[tuple[int, ...], int]:
         """Barycentric numerators of p over the common positive denominator."""
-        coords = p.coords
-        if len(coords) != len(self.v):
+        if p.dim != len(self.v):
             raise ValidationError("point/cone dimension mismatch")
-        den: int = self._den  # type: ignore[attr-defined]
+        return self.numerators(p.coords), self._den  # type: ignore[attr-defined]
+
+    def numerators(self, coords: tuple[int, ...]) -> tuple[int, ...]:
+        """coeff_numerators' numerators for a coordinate tuple of dimension k,
+        unchecked: the point is in the cone iff none is negative."""
         num = self._num  # type: ignore[attr-defined]
-        return tuple(sum(map(operator.mul, row, coords)) for row in num), den
+        return tuple([sum(map(operator.mul, row, coords)) for row in num])
 
     def in_cone(self, p: Point) -> bool:
         nums, _ = self.coeff_numerators(p)
@@ -244,19 +246,14 @@ def peel(spec: ConeSpec, v: Point, layer: Optional[int] = None) -> tuple[int, Po
     return l, v - spec.v[l]
 
 
-def _floors(spec: ConeSpec, v: Point) -> list[int]:
-    """The floors of v's barycentric coefficients; DomainError outside the cone."""
-    nums, den = spec.coeff_numerators(v)
-    if any(x < 0 for x in nums):
-        raise OutsideConeError(v)
-    return [x // den for x in nums]
-
-
 def required_depth(spec: ConeSpec, v: Point) -> int:
     """The ray depth decompose needs for the cone point v: the top binary
     digit of its largest floored coefficient (-1 when every floor is 0).
     DomainError when v is outside the cone."""
-    return max(_floors(spec, v)).bit_length() - 1
+    nums, den = spec.coeff_numerators(v)
+    if min(nums) < 0:
+        raise OutsideConeError(v)
+    return (max(nums) // den).bit_length() - 1
 
 
 def decompose(spec: ConeSpec, X: ThinGeneratorSet, v: Point) -> Representation:
@@ -267,27 +264,43 @@ def decompose(spec: ConeSpec, X: ThinGeneratorSet, v: Point) -> Representation:
     element (each has one coefficient 2^j >= 1); the binary digits of c_l pick
     distinct ray elements 2^j v_l.  Cost O(k^2 + k log n).  A point already in
     the seed is its own representation.  X shallower than required_depth(spec, v)
-    raises DepthError.
+    raises DepthError.  The work is decompose_coords'.
     """
-    counts = _floors(spec, v)
+    nums, _ = spec.coeff_numerators(v)
+    if min(nums) < 0:
+        raise OutsideConeError(v)
     if not any(v.coords):
         raise DomainError("cannot decompose the origin")
-    if v in X.seed:
-        return Representation((v,), v)
+    # coordinate tuples sort as their Points do
+    return Representation(tuple(map(Point, sorted(decompose_coords(spec, X, v.coords, nums)))), v)
 
+
+def decompose_coords(
+    spec: ConeSpec, X: ThinGeneratorSet, coords: tuple[int, ...], nums: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """decompose on coordinate tuples: the members' coordinates, unsorted, for
+    the nonzero cone point `coords`, whose numerators spec.numerators(coords)
+    are `nums`, none negative (unchecked).  They are the point itself when it
+    is in the seed, else the residual when it is nonzero, then the ray
+    elements picked by the floors' binary digits.  DepthError as decompose;
+    the error builds the one Point it names."""
+    if coords in X.seed.coord_set:
+        return [coords]
+    den: int = spec._den  # type: ignore[attr-defined]
+    counts = [x // den for x in nums]
     required = max(counts).bit_length() - 1
     if required > X.depth:
         raise DepthError(
-            f"ray depth {X.depth} too small; need depth {required} for {v}",
+            f"ray depth {X.depth} too small; need depth {required} for {Point(coords)}",
             required_depth=required,
         )
-    # axis i of the residual: v[i] - sum_l c_l v_l[i]; a Point only when nonzero
-    axes = zip(*(g.coords for g in spec.v))
-    residual = tuple(x - sum(map(operator.mul, counts, axis)) for x, axis in zip(v.coords, axes))
-    members = [Point(residual)] if any(residual) else []
+    # axis i of the residual: coords[i] - sum_l c_l v_l[i]
+    axes = spec._axes  # type: ignore[attr-defined]
+    residual = tuple([x - sum(map(operator.mul, counts, axis)) for x, axis in zip(coords, axes)])
+    members = [residual] if any(residual) else []
     for ray, c in zip(X.rays, counts):
-        members.extend(ray[j] for j in range(c.bit_length()) if c >> j & 1)
-    return Representation(tuple(sorted(members, key=COORDS)), v)
+        members.extend(ray[j].coords for j in range(c.bit_length()) if c >> j & 1)
+    return members
 
 
 def check_window(
@@ -300,31 +313,33 @@ def check_window(
     a_l * v_l[i] <= p[i] <= limit, so floor(a_l) <= limit // m for m the
     smallest nonzero generator coordinate, and required_depth(spec, p) <=
     default_depth(spec, corner) - 2.  Returns X, the number of cone points
-    checked, and the points whose decomposition raises DepthError, fails
-    validate_representation or uses a non-member of X.  Each point's
-    numerators are computed once, in decompose, whose OutsideConeError marks
-    a point outside the cone.  Charges the (limit + 1)^k window, then X's
-    rays and seed box, against cell_cap.
+    checked, and the points whose decompose_coords raises DepthError, fails
+    validate_sum or uses a non-member of X.  The window is walked as
+    coordinate tuples: each point's numerators are computed once, and a
+    negative one skips a point outside the cone; a Point is built only for a
+    failure.  Charges the (limit + 1)^k window, then X's rays and seed box,
+    against cell_cap.
     """
     corner = Point((limit,) * spec.k)
     charge((limit + 1) ** spec.k, "cone verify window", cell_cap)
     X = build_thin_generators(spec, default_depth(spec, corner), cell_cap)
+    members_of_X = X.all_elements().coord_set
+    numerators = spec.numerators
     checked = 0
     failures = []
-    for p in Box(Point.zero(spec.k), corner).points_lex():
-        if p.is_zero:
-            continue
-        try:
-            rep = decompose(spec, X, p)
-        except DepthError:
-            checked += 1
-            failures.append(p)
-            continue
-        except OutsideConeError:
+    # the window's first tuple in lexicographic order is the origin
+    for p in islice(product(range(limit + 1), repeat=spec.k), 1, None):
+        nums = numerators(p)
+        if min(nums) < 0:
             continue
         checked += 1
-        if not validate_representation(rep) or not all(m in X for m in rep.members):
-            failures.append(p)
+        try:
+            members = decompose_coords(spec, X, p, nums)
+        except DepthError:
+            failures.append(Point(p))
+            continue
+        if not validate_sum(members, p) or not members_of_X.issuperset(members):
+            failures.append(Point(p))
     return X, checked, failures
 
 

@@ -182,6 +182,11 @@ class GeneratorSet:
     def __contains__(self, p: Point) -> bool:
         return isinstance(p, Point) and p.coords in self._members  # type: ignore[attr-defined]
 
+    @property
+    def coord_set(self) -> frozenset[tuple[int, ...]]:
+        """The elements' coordinate tuples: membership without a Point."""
+        return self._members  # type: ignore[attr-defined]
+
     def pruned_to(self, bound: Point) -> "GeneratorSet":
         """Drop generators that cannot participate in any sum <= bound."""
         if self.elements:

@@ -71,13 +71,19 @@ def dyadic_represent(a: int, b: int) -> Representation:
     With b <= a (swap otherwise): split the coordinate with the shorter dyadic
     expansion into as many terms as the other side has, then pair terms
     largest-with-largest.  Distinctness is automatic because one side of every
-    pair runs through distinct powers.
+    pair runs through distinct powers.  The pairs are dyadic_pairs'.
     """
     if in_exceptional(a, b):
         raise DomainError(
             f"({a},{b}) lies in the exceptional set; no structural guarantee "
             "applies there (use the brute-force oracle instead)"
         )
+    return Representation(tuple(map(Point, dyadic_pairs(a, b))), Point((a, b)))
+
+
+def dyadic_pairs(a: int, b: int) -> list[tuple[int, int]]:
+    """dyadic_represent on ints: its members' (x, y) pairs, sorted (as their
+    Points sort), for (a, b) outside E, which is not checked."""
     swapped = b > a
     if swapped:
         a, b = b, a
@@ -89,15 +95,9 @@ def dyadic_represent(a: int, b: int) -> Representation:
     else:
         firsts = [1 << i for i in reversed(bit_positions(a))]  # n distinct powers on the left
         seconds = split_to_terms(b, n)
-    pairs = list(zip(firsts, seconds))
     if swapped:
-        pairs = [(q, p) for p, q in pairs]
-        target = Point((b, a))
-    else:
-        target = Point((a, b))
-    # int pairs sort as their Points do, without a generated __lt__ per comparison
-    members = tuple(map(Point, sorted(pairs)))
-    return Representation(members, target)
+        firsts, seconds = seconds, firsts
+    return sorted(zip(firsts, seconds))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice, product
 from typing import Callable, Optional, Sequence
 
 from . import cone, dyadic, gaps
@@ -52,11 +52,13 @@ _CONE_SPEC = cone.ConeSpec((Point((1, 2)), Point((2, 1))))
 
 def crit_cone_completeness(seed: int, cell_cap: int) -> dict:
     spec = _CONE_SPEC
-    X, checked, failures = cone.check_window(spec, 80)
-    box = Box(Point((0, 0)), Point((40, 40)))
-    sub = [p for p in box.points_lex() if not p.is_zero and spec.in_cone(p)]
-    reach = fs_enumerate(X.all_elements(), box, cell_cap)
-    oracle_misses = [str(p) for p in sub if p not in reach.points]
+    X, checked, failures = cone.check_window(spec, 80, cell_cap)
+    numerators = spec.numerators
+    # the nonzero cone points of [0, 40]^2 in lexicographic order, as tuples
+    sub = [p for p in islice(product(range(41), repeat=2), 1, None) if min(numerators(p)) >= 0]
+    reach = fs_enumerate(X.all_elements(), Box(Point((0, 0)), Point((40, 40))), cell_cap)
+    rows = [reach.row(y) for y in range(41)]  # bit x of rows[y]: is (x, y) reachable
+    oracle_misses = [f"({x},{y})" for x, y in sub if not rows[y] >> x & 1]
     return {
         "passed": not failures and not oracle_misses,
         "time_limit_s": 10.0,
@@ -70,7 +72,7 @@ def crit_cone_completeness(seed: int, cell_cap: int) -> dict:
 
 
 def crit_thinness(seed: int, cell_cap: int) -> dict:
-    X = cone.build_thin_generators(_CONE_SPEC, 17)
+    X = cone.build_thin_generators(_CONE_SPEC, 17, cell_cap)
     rows = []
     ok = True
     for e in range(2, 17):
@@ -135,8 +137,7 @@ def crit_grid_coverage(seed: int, cell_cap: int) -> dict:
             if dyadic.in_exceptional(a, b):
                 continue
             outside_e += 1
-            rep = dyadic.dyadic_represent(a, b)
-            if not validate_representation(rep):
+            if not validate_sum(dyadic.dyadic_pairs(a, b), (a, b)):
                 represent_failures.append(f"({a},{b})")
             if not rows[b] >> a & 1:
                 oracle_misses.append(f"({a},{b})")
@@ -160,7 +161,7 @@ def crit_empty_squares(seed: int, cell_cap: int) -> dict:
     rows = []
     ok = True
     for D in range(1, 7):
-        cert = dyadic.empty_square(D)
+        cert = dyadic.empty_square(D, cell_cap)
         reachable = sorted(str(p) for p in dyadic.empty_square_reach(cert, cell_cap))
         square_ok = cert.all_unreachable() and not reachable
         ok = ok and square_ok
@@ -180,7 +181,7 @@ def crit_dense_squares(seed: int, cell_cap: int) -> dict:
     rows = []
     ok = True
     for R in range(1, 13):
-        rep = dyadic.dense_square_count(R)
+        rep = dyadic.dense_square_count(R, cell_cap)
         entry = {
             "R": R,
             "exact": rep.exact_count,
@@ -207,7 +208,7 @@ def _oracle_confirms(points: Sequence[Point], A: Sequence[int], B: Sequence[int]
 
 def crit_gap_construction(seed: int, cell_cap: int) -> dict:
     A1 = list(range(1, 13))
-    g1 = gaps.build_gap(A1, [1, 2], [3])
+    g1 = gaps.build_gap(A1, [1, 2], [3], cell_cap)
     g1_ok = (
         g1.differences == (Point((13, 3)),)
         and g1.proper
@@ -216,7 +217,7 @@ def crit_gap_construction(seed: int, cell_cap: int) -> dict:
     misses1 = _oracle_confirms(g1.points(), A1, [1, 2], cell_cap)
 
     A2 = list(range(1, 61))
-    g2 = gaps.build_gap(A2, [1, 2], [3, 2])
+    g2 = gaps.build_gap(A2, [1, 2], [3, 2], cell_cap)
     g2_ok = (
         len(set(g2.points())) == 6
         and g2.proper
@@ -268,7 +269,7 @@ def crit_sumset_inequality(seed: int, cell_cap: int) -> dict:
 
 
 def crit_five_squares(seed: int, cell_cap: int) -> dict:
-    failures = gaps.five_squares_check(1024, 4096)
+    failures = gaps.five_squares_check(1024, 4096, cell_cap)
     return {
         "passed": not failures,
         "time_limit_s": 5.0,

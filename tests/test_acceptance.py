@@ -14,7 +14,7 @@ import pytest
 
 from fslattice import cone, dyadic, oracle
 from fslattice.cli import main
-from fslattice.core import Point, Representation
+from fslattice.core import Point, validate_representation
 from fslattice.selftest import CRITERIA, payload_of, run_criteria, run_criterion
 
 _IDS = [f"{cid:02d}-{name.replace(' ', '-')}" for cid, name, _ in CRITERIA]
@@ -35,13 +35,14 @@ PLANTED = (5, 3)  # outside E, inside the 64 x 64 grid of criterion 4
 
 
 def test_grid_coverage_catches_a_wrong_sum(monkeypatch):
-    real = dyadic.dyadic_represent
+    # the criterion checks dyadic_represent's pairs as dyadic_pairs returns them
+    real = dyadic.dyadic_pairs
 
-    def represent(a, b):
-        rep = real(a, b)
-        return Representation(rep.members[1:], rep.target) if (a, b) == PLANTED else rep
+    def pairs(a, b):
+        return real(a, b)[1:] if (a, b) == PLANTED else real(a, b)
 
-    monkeypatch.setattr(dyadic, "dyadic_represent", represent)
+    monkeypatch.setattr(dyadic, "dyadic_pairs", pairs)
+    assert not validate_representation(dyadic.dyadic_represent(*PLANTED))  # one path for both
     result = run_criterion(4, seed=0)
     assert not result.passed
     assert result.details["represent_failures"] == ["(5,3)"]
@@ -78,16 +79,32 @@ def test_grid_coverage_catches_a_wrong_witness(monkeypatch):
 
 def test_cone_completeness_catches_a_non_member(monkeypatch):
     # (9,18) = 9 * (1,2) sums right but is neither a seed point nor a ray element 2^j v_l
-    outsider = Point((9, 18))
-    real = cone.decompose
+    outsider = (9, 18)
+    real = cone.decompose_coords
 
-    def decompose(spec, X, v):
-        return Representation((v,), v) if v == outsider else real(spec, X, v)
+    def decompose_coords(spec, X, coords, nums):
+        return [coords] if coords == outsider else real(spec, X, coords, nums)
 
-    monkeypatch.setattr(cone, "decompose", decompose)
+    monkeypatch.setattr(cone, "decompose_coords", decompose_coords)
+    X = cone.build_thin_generators(cone.ConeSpec((Point((1, 2)), Point((2, 1)))), 5)
+    assert cone.decompose(X.spec, X, Point(outsider)).members == (Point(outsider),)  # one path for both
     result = run_criterion(1, seed=0)
     assert not result.passed
     assert result.details["decompose_failures"] == ["(9,18)"]
+
+
+def test_cone_completeness_catches_an_oracle_miss(monkeypatch):
+    # the oracle subsample reads criterion 1's verdicts from the rows too
+    real = oracle.ReachableSet.row
+
+    def row(self, y):
+        return real(self, y) & ~(1 << 9) if y == 18 else real(self, y)
+
+    monkeypatch.setattr(oracle.ReachableSet, "row", row)
+    result = run_criterion(1, seed=0)
+    assert not result.passed
+    assert result.details["oracle_misses"] == ["(9,18)"]
+    assert result.details["decompose_failures"] == []
 
 
 # sha256 of the sorted-key JSON payload of criteria 1-11, which criterion 12
@@ -128,7 +145,7 @@ def test_fs_enumerate_output_is_pinned(capsys, tmp_path):
     assert hashlib.sha256(out).hexdigest() == FS_ENUMERATE_SHA256
 
 
-@pytest.mark.parametrize("mode, patches", [("traced", 31), ("memory", 5)])
+@pytest.mark.parametrize("mode, patches", [("traced", 30), ("memory", 5)])
 def test_benchmark_tracer_finds_every_name(monkeypatch, mode, patches):
     # benchmarks/run.py --trace 1 wraps these package names; a rename must fail here too
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import os
@@ -126,13 +127,13 @@ class TestCone:
     def test_verify_checks_membership(self, capsys, monkeypatch, tmp_path):
         # a representation that sums right but uses a point outside X must fail
         spec_file = write_json(tmp_path / "cone.json", {"v": [[1, 2], [2, 1]]})
-        outsider = Point((15, 15))
-        real = cone.decompose
+        outsider = (15, 15)
+        real = cone.decompose_coords
 
-        def decompose(spec, X, v):
-            return Representation((v,), v) if v == outsider else real(spec, X, v)
+        def decompose_coords(spec, X, coords, nums):
+            return [coords] if coords == outsider else real(spec, X, coords, nums)
 
-        monkeypatch.setattr(cone, "decompose", decompose)
+        monkeypatch.setattr(cone, "decompose_coords", decompose_coords)
         code, out, _ = run(capsys, ["cone", "verify", "--spec", spec_file, "--max", "15"])
         assert code == 1
         payload = json.loads(out)
@@ -341,11 +342,25 @@ def _at_cap_cases(tmp):
         "gap-five-squares": (
             ["gap", "five-squares", "--lo", "1", "--hi", "16"], [_over(17 * 6, "enumeration domain", "cells")]
         ),
+        # criterion 6's dense squares, R = 1..12; the largest has 2^12 points
+        "selftest": (
+            ["selftest", "--criteria", "6"], [(2**12, "dense square has 2^12 points, above the cap of {cap}")]
+        ),
     }
 
 
+def _command(argv):
+    """The subcommand an argv runs, e.g. "cone build": the words before its first option."""
+    return " ".join(itertools.takewhile(lambda a: not a.startswith("-"), argv))
+
+
+def _untimed(err):
+    """stderr with the selftest table's timings masked; other commands print none."""
+    return re.sub(r"\d+\.\d\d s", "- s", err)
+
+
 # the commands that charge nothing against the cap
-CHARGES_NOTHING = {"dyadic check", "selftest"}
+CHARGES_NOTHING = {"dyadic check"}
 
 
 def _commands(parser, names=()):
@@ -357,7 +372,7 @@ def _commands(parser, names=()):
 
 
 def test_every_command_decides_its_cap(tmp_path):
-    charged = {" ".join(argv[:2]) for argv, _ in _at_cap_cases(tmp_path).values()}
+    charged = {_command(argv) for argv, _ in _at_cap_cases(tmp_path).values()}
     assert not charged & CHARGES_NOTHING
     assert _commands(cli.build_parser()) == charged | CHARGES_NOTHING
 
@@ -598,10 +613,11 @@ class TestExitCodes:
             largest = max(count for count, _ in charges)
             refusal = next(text for count, text in charges if count == largest)
             monkeypatch.delenv("FSLATTICE_CAP", raising=False)
-            code, expected, _ = run(capsys, argv)
+            code, expected, err = run(capsys, argv)
             assert code == 0, name
             monkeypatch.setenv("FSLATTICE_CAP", str(largest))
-            assert run(capsys, argv) == (0, expected, ""), name
+            code, out, capped_err = run(capsys, argv)
+            assert (code, out, _untimed(capped_err)) == (0, expected, _untimed(err)), name
             monkeypatch.setenv("FSLATTICE_CAP", str(largest - 1))
             assert run(capsys, argv) == (
                 2, "", "resource error: " + refusal.format(cap=largest - 1) + "\n"

@@ -473,15 +473,16 @@ def test_residual_lies_in_the_parallelepiped(spec):
 
 
 def test_check_window_computes_numerators_once(monkeypatch):
-    numerators = cone.ConeSpec.coeff_numerators
+    # coeff_numerators wraps numerators, so this counts every computation
+    numerators = cone.ConeSpec.numerators
     build = cone.build_thin_generators
     calls = []
     counting = [True]
 
-    def counted(self, p):
+    def counted(self, coords):
         if counting[0]:
-            calls.append(p)
-        return numerators(self, p)
+            calls.append(Point(coords))
+        return numerators(self, coords)
 
     def build_uncounted(spec, depth, *cap):
         counting[0] = False
@@ -490,12 +491,61 @@ def test_check_window_computes_numerators_once(monkeypatch):
         finally:
             counting[0] = True
 
-    monkeypatch.setattr(cone.ConeSpec, "coeff_numerators", counted)
+    monkeypatch.setattr(cone.ConeSpec, "numerators", counted)
     monkeypatch.setattr(cone, "build_thin_generators", build_uncounted)
     _, checked, failures = cone.check_window(SPEC, 20)
     window = [p for p in Box(Point((0, 0)), Point((20, 20))).points_lex() if not p.is_zero]
     assert calls == window  # each nonzero point once, in lexicographic order
     assert checked == sum(1 for p in window if SPEC.in_cone(p)) and not failures
+
+
+def test_check_window_builds_no_point_per_window_point(monkeypatch):
+    X = cone.build_thin_generators(SPEC, cone.default_depth(SPEC, Point((20, 20))))
+
+    def prebuilt(spec, depth, cell_cap):  # X is built outside the count
+        assert (spec, depth) == (X.spec, X.depth)
+        return X
+
+    init = Point.__post_init__
+    created = []
+
+    def counted(self):
+        created.append(self.coords)
+        init(self)
+
+    monkeypatch.setattr(cone, "build_thin_generators", prebuilt)
+    monkeypatch.setattr(Point, "__post_init__", counted)
+    _, checked, failures = cone.check_window(SPEC, 20)
+    assert checked > 200 and not failures
+    assert created == [(20, 20)]  # the corner, for X's depth, and no window point
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_cones(), st.integers(0, 3))
+def test_decompose_coords_is_decompose(spec, depth):
+    # the core agrees with its wrapper on every point of a small window, in the
+    # cone or not: the same members, the same DepthError where X is too shallow,
+    # and the sign test check_window skips by where decompose raises
+    X = cone.build_thin_generators(spec, depth)
+    k = spec.k
+    for p in Box(Point.zero(k), Point((8 if k == 2 else 4,) * k)).points_lex():
+        if p.is_zero:
+            continue
+        nums = spec.numerators(p.coords)
+        try:
+            rep = cone.decompose(spec, X, p)
+        except cone.OutsideConeError:
+            assert min(nums) < 0
+            continue
+        except DepthError as exc:
+            with pytest.raises(DepthError) as core_exc:
+                cone.decompose_coords(spec, X, p.coords, nums)
+            assert (str(core_exc.value), core_exc.value.required_depth) == (str(exc), exc.required_depth)
+            continue
+        assert min(nums) >= 0
+        members = cone.decompose_coords(spec, X, p.coords, nums)
+        assert rep.members == tuple(Point(m) for m in sorted(members))
+        assert validate_representation(rep) and all(m in X for m in rep.members)
 
 
 class TestThinness:

@@ -2,7 +2,7 @@ import dataclasses
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fslattice import dyadic
 from fslattice.core import (
@@ -13,6 +13,7 @@ from fslattice.core import (
     ResourceLimitError,
     ValidationError,
     validate_representation,
+    validate_sum,
 )
 from fslattice.oracle import fs_enumerate, fs_membership
 
@@ -119,6 +120,17 @@ class TestDyadicRepresent:
                 rep = dyadic.dyadic_represent(a, b)
                 assert validate_representation(rep)
                 assert Point((a, b)) in reach.points
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 70) | st.integers(1, 2**64), st.integers(1, 70) | st.integers(1, 2**64))
+    def test_pairs_are_the_representation(self, a, b):
+        # dyadic_pairs is dyadic_represent's core: the same members, as int pairs
+        assume(not dyadic.in_exceptional(a, b))
+        pairs = dyadic.dyadic_pairs(a, b)
+        rep = dyadic.dyadic_represent(a, b)
+        assert rep.target == Point((a, b))
+        assert [m.coords for m in rep.members] == pairs
+        assert validate_sum(pairs, (a, b)) and validate_representation(rep)
 
 
 class TestEmptySquare:
