@@ -7,10 +7,11 @@ cone by sums of distinct elements, while growing only logarithmically.  The
 decomposition is closed form: flooring the barycentric coefficients leaves a
 residual in the seed, and the binary digits of the floors pick distinct ray
 elements, so the ray depth a point needs (`required_depth`) is known before X
-is built.  The one decomposition is `decompose_coords`, on a point's
-coordinate tuple and its numerators (`ConeSpec.numerators`); `decompose`
-wraps it in checked Points, and `check_window` calls it directly for every
-cone point of a box against one X, walking the box as tuples.
+is built.  The one walk over the nonzero cone points of a box is
+`cone_points`, on coordinate tuples with their numerators
+(`ConeSpec.numerators`); `build_thin_generators` keeps the points of the
+simplex as the seed, and `check_window` hands each point to the one
+decomposition, `decompose_coords`, which `decompose` wraps in checked Points.
 `peel` and the cover indices keep the paper's covering lemmas, and all three
 take one integer step, `face_cover_index`: the face point nums / sum(nums)
 has a coordinate l reaching lam = p/q iff nums[l]*q >= p*sum(nums).
@@ -25,11 +26,10 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import chain, islice, product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     DEFAULT_CELL_CAP,
-    Box,
     DepthError,
     DomainError,
     GeneratorSet,
@@ -116,10 +116,6 @@ class ConeSpec:
         num = self._num  # type: ignore[attr-defined]
         return tuple([sum(map(operator.mul, row, coords)) for row in num])
 
-    def in_cone(self, p: Point) -> bool:
-        nums, _ = self.coeff_numerators(p)
-        return all(x >= 0 for x in nums)
-
     def to_json(self) -> dict:
         return {"v": [p.to_json() for p in self.v]}
 
@@ -202,15 +198,11 @@ def build_thin_generators(
     charge(k * (depth + 1) ** 2, "cone rays", cell_cap)
     hi = [k * max(axis) for axis in zip(*(v.coords for v in spec.v))]  # the seed's bounding box
     charge(math.prod(h + 1 for h in hi), "cone seed box", cell_cap)
-    seed_points = []
-    for p in Box(Point.zero(k), Point(tuple(hi))).points_lex():
-        nums, den = spec.coeff_numerators(p)
-        if not p.is_zero and all(x >= 0 for x in nums) and sum(nums) <= k * den:
-            seed_points.append(p)
-    rays = tuple(
-        tuple(v.scale(1 << j) for j in range(depth + 1)) for v in spec.v
-    )
-    return ThinGeneratorSet(spec=spec, depth=depth, seed=GeneratorSet.of(seed_points), rays=rays)
+    top = k * spec._den  # type: ignore[attr-defined]
+    # cone_points walks in lexicographic order, so the seed is already canonical
+    seed = GeneratorSet(tuple(Point(p) for p, nums in cone_points(spec, hi) if sum(nums) <= top))
+    rays = tuple(tuple(v.scale(1 << j) for j in range(depth + 1)) for v in spec.v)
+    return ThinGeneratorSet(spec=spec, depth=depth, seed=seed, rays=rays)
 
 
 def default_depth(spec: ConeSpec, target: Point) -> int:
@@ -241,9 +233,9 @@ def peel(spec: ConeSpec, v: Point, layer: Optional[int] = None) -> tuple[int, Po
         raise DomainError(
             f"{v} has coefficient sum in layer {computed_layer}, not {layer}"
         )
-    # the face step at lam = 1/(k + layer): nums[l]*(k + layer) >= s
+    # the face step at lam = 1/(k + layer): nums[l]*(k+layer) >= s > (k+layer)*den, so v - v_l is in the cone
     l = face_cover_index(nums, 1, k + computed_layer)
-    return l, v - spec.v[l]
+    return l, Point(tuple(map(operator.sub, v.coords, spec.v[l].coords)))
 
 
 def required_depth(spec: ConeSpec, v: Point) -> int:
@@ -303,6 +295,18 @@ def decompose_coords(
     return members
 
 
+def cone_points(spec: ConeSpec, hi: Sequence[int]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The nonzero cone points of the box [0, hi], in lexicographic order, as
+    (coords, spec.numerators(coords)) tuples.  Each point's numerators are
+    computed once, and a negative one skips a point outside the cone."""
+    numerators = spec.numerators
+    # the box's first tuple in lexicographic order is the origin
+    for p in islice(product(*(range(h + 1) for h in hi)), 1, None):
+        nums = numerators(p)
+        if min(nums) >= 0:
+            yield p, nums
+
+
 def check_window(
     spec: ConeSpec, limit: int, cell_cap: int = DEFAULT_CELL_CAP
 ) -> tuple[ThinGeneratorSet, int, list[Point]]:
@@ -314,24 +318,18 @@ def check_window(
     smallest nonzero generator coordinate, and required_depth(spec, p) <=
     default_depth(spec, corner) - 2.  Returns X, the number of cone points
     checked, and the points whose decompose_coords raises DepthError, fails
-    validate_sum or uses a non-member of X.  The window is walked as
-    coordinate tuples: each point's numerators are computed once, and a
-    negative one skips a point outside the cone; a Point is built only for a
-    failure.  Charges the (limit + 1)^k window, then X's rays and seed box,
-    against cell_cap.
+    validate_sum or uses a non-member of X.  The window is walked by
+    cone_points, as coordinate tuples; a Point is built only for a failure.
+    Charges the (limit + 1)^k window, then X's rays and seed box, against
+    cell_cap.
     """
     corner = Point((limit,) * spec.k)
     charge((limit + 1) ** spec.k, "cone verify window", cell_cap)
     X = build_thin_generators(spec, default_depth(spec, corner), cell_cap)
     members_of_X = X.all_elements().coord_set
-    numerators = spec.numerators
     checked = 0
     failures = []
-    # the window's first tuple in lexicographic order is the origin
-    for p in islice(product(range(limit + 1), repeat=spec.k), 1, None):
-        nums = numerators(p)
-        if min(nums) < 0:
-            continue
+    for p, nums in cone_points(spec, corner.coords):
         checked += 1
         try:
             members = decompose_coords(spec, X, p, nums)

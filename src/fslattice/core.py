@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 
@@ -75,12 +74,6 @@ class Point:
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
-
-    def __sub__(self, other: "Point") -> "Point":
-        self._check_dim(other)
-        if not other.fits_within(self):
-            raise ValidationError(f"{other} does not fit within {self}")
-        return Point(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def scale(self, c: int) -> "Point":
         if c < 0:
@@ -265,11 +258,6 @@ class Box:
 
     def contains(self, p: Point) -> bool:
         return self.lo.fits_within(p) and p.fits_within(self.hi)
-
-    def points_lex(self) -> Iterator[Point]:
-        """All lattice points of the box in lexicographic order."""
-        axes = (range(l, h + 1) for l, h in zip(self.lo.coords, self.hi.coords))
-        return map(Point, product(*axes))
 
 
 def parse_point(text: str) -> Point:

@@ -141,18 +141,12 @@ def empty_square(D: int, cell_cap: int = oracle.DEFAULT_CELL_CAP) -> EmptySquare
     return EmptySquareCertificate(square=SquareSpec(x0=x0, y0=1, side=D), min_terms=min_terms)
 
 
-def empty_square_points(cert: EmptySquareCertificate) -> list[Point]:
-    """Interior lattice points of the proof square, as machine-sized Points."""
-    x0 = cert.square.x0
-    D = cert.square.side
-    return [Point((x0 + j, 1 + k)) for j in range(1, D + 1) for k in range(1, D + 1)]
-
-
 def empty_square_reach(cert: EmptySquareCertificate, cell_cap: int) -> oracle.ReachableSet:
-    """The oracle's FS of the dyadic grid inside the proof square (its box is
-    the square itself), empty when the certificate is right."""
-    points = empty_square_points(cert)
-    box = Box(min(points), max(points))
+    """The oracle's FS of the dyadic grid inside the proof square, empty when
+    the certificate is right.  Its box is the square's interior points
+    (x0 + j, 1 + k), 1 <= j,k <= D: (x0 + 1, 2) to (x0 + D, D + 1)."""
+    x0, D = cert.square.x0, cert.square.side
+    box = Box(Point((x0 + 1, 2)), Point((x0 + D, D + 1)))
     return oracle.fs_enumerate(dyadic_generators(box.hi), box, cell_cap)
 
 

@@ -9,13 +9,12 @@ with a different PYTHONHASHSEED before criterion 1 and running alongside it.
 from __future__ import annotations
 
 import json
-import math
 import os
 import random
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice, product
+from itertools import combinations_with_replacement
 from typing import Callable, Optional, Sequence
 
 from . import cone, dyadic, gaps
@@ -53,9 +52,7 @@ _CONE_SPEC = cone.ConeSpec((Point((1, 2)), Point((2, 1))))
 def crit_cone_completeness(seed: int, cell_cap: int) -> dict:
     spec = _CONE_SPEC
     X, checked, failures = cone.check_window(spec, 80, cell_cap)
-    numerators = spec.numerators
-    # the nonzero cone points of [0, 40]^2 in lexicographic order, as tuples
-    sub = [p for p in islice(product(range(41), repeat=2), 1, None) if min(numerators(p)) >= 0]
+    sub = [p for p, _ in cone.cone_points(spec, (40, 40))]
     reach = fs_enumerate(X.all_elements(), Box(Point((0, 0)), Point((40, 40))), cell_cap)
     rows = [reach.row(y) for y in range(41)]  # bit x of rows[y]: is (x, y) reachable
     oracle_misses = [f"({x},{y})" for x, y in sub if not rows[y] >> x & 1]
@@ -282,7 +279,7 @@ def crit_trm_bound(seed: int, cell_cap: int) -> dict:
     violations = []
     for x in range(1, 201):
         t = table[x]
-        if t * (t + 1) // 2 > x or t > 2 * math.sqrt(x):
+        if t * (t + 1) // 2 > x or t * t > 4 * x:  # t > 2 sqrt(x), exactly
             violations.append(x)
     return {"passed": not violations, "details": {"max_trm": max(table), "violations": violations}}
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from fslattice import cone, dyadic, oracle
+from fslattice import cone, dyadic, oracle, selftest
 from fslattice.cli import main
 from fslattice.core import Point, validate_representation
 from fslattice.selftest import CRITERIA, payload_of, run_criteria, run_criterion
@@ -143,6 +143,37 @@ def test_fs_enumerate_output_is_pinned(capsys, tmp_path):
     assert main(["fs", "enumerate", "--generators", str(path), "--box", "0,0,30,30"]) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == FS_ENUMERATE_SHA256
+
+
+# sha256 of `cone build` stdout: the seed scan and the rays, in a skinny 2D
+# cone (seed box [0, 200]^2) and a small 3D one
+CONE_BUILD_SHA256 = {
+    "100,99;99,100": "2af5bcaf47c7bbeb79d164ea8d100692987aa7c07658a0d7f097265319429890",
+    "2,1,0;0,2,1;1,0,2": "8a421eb6fdd963bf5a1f02f6ac3eb27939e5f8a67a7cd24c2ac1c84dc6a40b2d",
+}
+
+
+@pytest.mark.parametrize("v", sorted(CONE_BUILD_SHA256))
+def test_cone_build_output_is_pinned(capsys, v):
+    assert main(["cone", "build", "--v", v, "--depth", "3"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == CONE_BUILD_SHA256[v]
+
+
+# t = 10 breaks only t(t+1)/2 <= x at x = 50; t = 15 breaks t <= 2 sqrt(x) too
+@pytest.mark.parametrize("t", [10, 15])
+def test_trm_bound_catches_a_planted_entry(monkeypatch, t):
+    real = selftest.trm_table
+
+    def trm_table(A, hi, cell_cap):
+        table = real(A, hi, cell_cap)
+        table[50] = t
+        return table
+
+    monkeypatch.setattr(selftest, "trm_table", trm_table)
+    result = run_criterion(11, seed=0)
+    assert not result.passed
+    assert result.details["violations"] == [50]
 
 
 @pytest.mark.parametrize("mode, patches", [("traced", 30), ("memory", 5)])

@@ -1,11 +1,13 @@
+import operator
 from fractions import Fraction
+from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fslattice import cone
 from fslattice.core import (
-    Box,
     DepthError,
     DomainError,
     GeneratorSet,
@@ -27,10 +29,6 @@ class TestConeSpec:
     def test_dependent_rejected(self):
         with pytest.raises(ValidationError):
             cone.ConeSpec((Point((1, 2)), Point((2, 4))))
-
-    def test_membership_predicate(self):
-        assert SPEC.in_cone(Point((3, 3)))
-        assert not SPEC.in_cone(Point((5, 1)))  # coefficient on v1 is negative
 
     def test_json_round_trip(self):
         assert cone.ConeSpec.from_json(SPEC.to_json()) == SPEC
@@ -244,10 +242,11 @@ class TestCellCap:
 
     @pytest.fixture(autouse=True)
     def no_scan(self, monkeypatch):
-        def refuse(box):
-            raise AssertionError("scanned a box")
+        # every walk over cone points computes each point's numerators
+        def refuse(spec, coords):
+            raise AssertionError("scanned a point")
 
-        monkeypatch.setattr(Box, "points_lex", refuse)
+        monkeypatch.setattr(cone.ConeSpec, "numerators", refuse)
 
     def test_rays_then_seed_box(self):
         # depth 5: 2 rays of 6 elements, each of up to 6 bits; the seed box is [0, 4]^2
@@ -379,7 +378,7 @@ class TestDecompose:
         for x in range(31):
             for y in range(31):
                 p = Point((x, y))
-                if p.is_zero or not SPEC.in_cone(p):
+                if p.is_zero or min(SPEC.numerators(p.coords)) < 0:
                     continue
                 rep = cone.decompose(SPEC, X, p)
                 assert validate_representation(rep)
@@ -387,9 +386,9 @@ class TestDecompose:
 
 
 @st.composite
-def small_cones(draw):
-    """A small independent, non-axis-parallel 2D or 3D cone."""
-    k = draw(st.sampled_from([2, 3]))
+def small_cones(draw, dims=(2, 3)):
+    """A small independent, non-axis-parallel cone of a dimension in dims."""
+    k = draw(st.sampled_from(dims))
     coords = st.lists(st.integers(0, 3), min_size=k, max_size=k)
     vs = draw(st.lists(coords.filter(lambda c: sum(x != 0 for x in c) >= 2), min_size=k, max_size=k))
     try:
@@ -408,7 +407,7 @@ def cones_and_points(draw):
     p = Point(tuple(
         s + sum(m * v.coords[i] for m, v in zip(mult, spec.v)) for i, s in enumerate(shift)
     ))
-    assume(not p.is_zero and spec.in_cone(p))
+    assume(not p.is_zero and min(spec.numerators(p.coords)) >= 0)
     return spec, p
 
 
@@ -456,8 +455,8 @@ def test_residual_lies_in_the_parallelepiped(spec):
     corner = Point((12 if k == 2 else 6,) * k)
     X = cone.build_thin_generators(spec, cone.default_depth(spec, corner))
     rays = {p for ray in X.rays for p in ray}
-    for p in Box(Point.zero(k), corner).points_lex():
-        if p.is_zero or not spec.in_cone(p):
+    for p in map(Point, product(*(range(h + 1) for h in corner.coords))):
+        if p.is_zero or min(spec.numerators(p.coords)) < 0:
             continue
         rep = cone.decompose(spec, X, p)
         if p in X.seed:
@@ -470,6 +469,31 @@ def test_residual_lies_in_the_parallelepiped(spec):
             assert all(0 <= x < den for x in nums)
     # P holds |det V| lattice points, and its nonzero ones all lie in the seed
     assert abs(_det([list(v.coords) for v in spec.v])) - 1 <= len(X.seed)
+
+
+@settings(deadline=None, max_examples=30)
+@given(small_cones(dims=(2, 3, 4)), st.data())
+def test_cone_points_is_the_sign_filtered_box_and_gives_the_seed(spec, data):
+    k = spec.k
+    hi = data.draw(st.lists(st.integers(0, 6 if k < 4 else 3), min_size=k, max_size=k))
+    nums = spec.numerators
+    box = product(*(range(h + 1) for h in hi))  # lexicographic order
+    expected = [(p, nums(p)) for p in box if any(p) and min(nums(p)) >= 0]
+    assert list(cone.cone_points(spec, hi)) == expected
+    # the seed by its definition, through V^-1 by Fractions, not the package's
+    # numerators: the nonzero p of the box [0, k * max_l v_l] whose
+    # coefficients a = V^-1 p are all >= 0 with sum(a) <= k
+    axes = [list(axis) for axis in zip(*(v.coords for v in spec.v))]
+    inverse, _ = _fraction_inverse(axes)
+    den = lcm(*(x.denominator for row in inverse for x in row))
+    rows = [[int(x * den) for x in row] for row in inverse]
+    seed = []
+    for p in product(*(range(k * max(axis) + 1) for axis in axes)):
+        a = [sum(map(operator.mul, row, p)) for row in rows]
+        if any(p) and min(a) >= 0 and sum(a) <= k * den:
+            seed.append(Point(p))
+    X = cone.build_thin_generators(spec, data.draw(st.integers(0, 3)))
+    assert X.seed.elements == tuple(seed)
 
 
 def test_check_window_computes_numerators_once(monkeypatch):
@@ -494,9 +518,9 @@ def test_check_window_computes_numerators_once(monkeypatch):
     monkeypatch.setattr(cone.ConeSpec, "numerators", counted)
     monkeypatch.setattr(cone, "build_thin_generators", build_uncounted)
     _, checked, failures = cone.check_window(SPEC, 20)
-    window = [p for p in Box(Point((0, 0)), Point((20, 20))).points_lex() if not p.is_zero]
+    window = [Point(p) for p in product(range(21), repeat=2) if any(p)]
     assert calls == window  # each nonzero point once, in lexicographic order
-    assert checked == sum(1 for p in window if SPEC.in_cone(p)) and not failures
+    assert checked == sum(1 for p in window if min(numerators(SPEC, p.coords)) >= 0) and not failures
 
 
 def test_check_window_builds_no_point_per_window_point(monkeypatch):
@@ -528,7 +552,7 @@ def test_decompose_coords_is_decompose(spec, depth):
     # and the sign test check_window skips by where decompose raises
     X = cone.build_thin_generators(spec, depth)
     k = spec.k
-    for p in Box(Point.zero(k), Point((8 if k == 2 else 4,) * k)).points_lex():
+    for p in map(Point, product(range(9 if k == 2 else 5), repeat=k)):
         if p.is_zero:
             continue
         nums = spec.numerators(p.coords)
@@ -568,7 +592,7 @@ class TestThinness:
         # exactly by that many elements in [1, n]^2 and failed by one more
         n = 1 << m
         seed = GeneratorSet.of([Point((1, 1))])
-        others = [p for p in Box(Point((1, 1)), Point((n, n))).points_lex() if p != Point((1, 1))]
+        others = [Point(p) for p in product(range(1, n + 1), repeat=2) if p != (1, 1)]
         budget = 1 + 2 * m + 2
         for count, passed in ((budget, True), (budget + 1, False)):
             X = cone.ThinGeneratorSet(SPEC, 0, seed, (tuple(others[: count - 1]), ()))

@@ -51,10 +51,6 @@ class TestPoint:
         else:
             assert p.fits_within(q) is all(x <= y for x, y in zip(a, b))
 
-    def test_subtraction_requires_fit(self):
-        with pytest.raises(ValidationError):
-            Point((1, 2)) - Point((2, 1))
-
     def test_parse(self):
         assert parse_point("9,18") == Point((9, 18))
         with pytest.raises(ValidationError):
@@ -255,12 +251,3 @@ class TestRegions:
         box = Box(Point((1, 1)), Point((3, 3)))
         assert box.contains(Point((1, 3)))
         assert not box.contains(Point((0, 2)))
-
-    def test_box_lex_scan(self):
-        box = Box(Point((0, 0)), Point((1, 1)))
-        assert list(box.points_lex()) == [
-            Point((0, 0)),
-            Point((0, 1)),
-            Point((1, 0)),
-            Point((1, 1)),
-        ]

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from fslattice import dyadic
 from fslattice.core import (
+    DEFAULT_CELL_CAP,
     Box,
     DomainError,
     GeneratorSet,
@@ -144,14 +145,23 @@ class TestEmptySquare:
     def test_oracle_sweep(self):
         for D in (2, 3):
             cert = dyadic.empty_square(D)
-            points = dyadic.empty_square_points(cert)
-            assert len(points) == D * D
+            x0 = cert.square.x0
+            points = [Point((x0 + j, 1 + k)) for j in range(1, D + 1) for k in range(1, D + 1)]
             assert cert.all_unreachable()
             hi = max(points)
             reach = fs_enumerate(
                 dyadic.dyadic_generators(hi), Box(min(points), hi)
             )
             assert not (set(points) & set(reach.points))
+
+    @pytest.mark.parametrize("D", range(1, 7))
+    def test_reach_box_spans_the_interior_points(self, D):
+        # the box is taken from the certificate, not from the D^2 points it spans
+        cert = dyadic.empty_square(D)
+        x0 = cert.square.x0
+        points = [Point((x0 + j, 1 + k)) for j in range(1, D + 1) for k in range(1, D + 1)]
+        box = dyadic.empty_square_reach(cert, DEFAULT_CELL_CAP).box
+        assert (box.lo, box.hi) == (min(points), max(points))
 
     def test_d2_corner(self):
         assert dyadic.empty_square(2).square.x0 == 56

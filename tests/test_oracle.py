@@ -363,8 +363,7 @@ class TestReachableSet:
         X, box = case
         reach = fs_enumerate(X, box)
         # one step past the box on every axis, so outside cells are asked too
-        beyond = Box(Point.zero(box.dim), Point(tuple(h + 1 for h in box.hi.coords)))
-        for p in beyond.points_lex():
+        for p in map(Point, product(*(range(h + 2) for h in box.hi.coords))):
             expected = box.contains(p) and search(X, p) is not None
             assert (p in reach) == expected
         assert len(reach) == sum(1 for _ in reach)
@@ -551,7 +550,7 @@ class TestReachableSet:
         assert [p.coords for p in reach] == expected  # axis 0 fastest
         assert len(reach) == len(expected)
         wanted = set(expected)
-        for p in box.points_lex():
+        for p in map(Point, product(*(range(l, h + 1) for l, h in zip(box.lo.coords, box.hi.coords)))):
             assert (p in reach) == (p.coords in wanted)
         for q in expected:
             members, cell = [], q
@@ -677,4 +676,4 @@ class TestUncoveredPointSearch:
         X = cone.build_thin_generators(spec, cone.default_depth(spec, Point((12, 12))))
         box = Box(Point((8, 8)), Point((12, 12)))
         elements = X.all_elements()
-        assert all(fs_membership(elements, p) is not None for p in box.points_lex())
+        assert all(fs_membership(elements, Point(p)) is not None for p in product(range(8, 13), repeat=2))
