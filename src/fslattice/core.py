@@ -180,13 +180,6 @@ class GeneratorSet:
         """The elements' coordinate tuples: membership without a Point."""
         return self._members  # type: ignore[attr-defined]
 
-    def pruned_to(self, bound: Point) -> "GeneratorSet":
-        """Drop generators that cannot participate in any sum <= bound."""
-        if self.elements:
-            self.elements[0]._check_dim(bound)
-        hi = bound.coords
-        return GeneratorSet(tuple(p for p in self.elements if all(map(operator.le, p.coords, hi))))
-
     def to_json(self) -> list[list[int]]:
         return [p.to_json() for p in self.elements]
 

@@ -172,10 +172,11 @@ def dense_square_count(R: int, cell_cap: int = oracle.DEFAULT_CELL_CAP) -> Dense
     """Count Z = {(n, k*2^f)} inside the square anchored at 2^(2^(R+1)).
 
     Computed two independent ways and asserted equal: the binomial formula
-    over term counts k, and direct enumeration of n = 2^(2^(R+1)) + r with
-    r < 2^R.  Every enumerated point's horizontal representation is checked
-    with ints, the corner kept as its bit position 2^(R+1).  Charges the 2^R
-    values of r against cell_cap.
+    over term counts k, and a walk over n = 2^(2^(R+1)) + r for every r < 2^R
+    that counts each r's f_max + 1 points.  Each r is checked once with ints,
+    at its largest f, which covers every f: the seconds' sum does not depend
+    on f and both bounds on m only tighten as f grows.  The corner is kept as
+    its bit position 2^(R+1).  Charges the 2^R values of r against cell_cap.
     """
     if R < 1:
         raise ValidationError("R must be >= 1")
@@ -191,11 +192,10 @@ def dense_square_count(R: int, cell_cap: int = oracle.DEFAULT_CELL_CAP) -> Dense
     enumeration = 0
     for r in range(1 << R):
         lows = bit_positions(r)
-        _validate_firsts(R, r, lows)
         k = r.bit_count() + 1  # the corner term plus one term per low bit
-        for f in range(_max_doubling(R, k) + 1):
-            _validate_seconds(R, lows, f, k << f)
-            enumeration += 1
+        f = _max_doubling(R, k)
+        _validate_point(R, r, lows, f, k << f)
+        enumeration += f + 1
 
     if enumeration != formula:
         raise AssertionError(
@@ -215,21 +215,16 @@ def dense_square_count(R: int, cell_cap: int = oracle.DEFAULT_CELL_CAP) -> Dense
     )
 
 
-def _validate_firsts(R: int, r: int, lows: list[int]) -> None:
+def _validate_point(R: int, r: int, lows: list[int], f: int, m: int) -> None:
     """Check with ints that the firsts 2^(2^(R+1)) and 2^c (c in lows) sum to
-    n = 2^(2^(R+1)) + r inside the square; they do not depend on f."""
+    n = 2^(2^(R+1)) + r, that the len(lows) + 1 seconds 2^f sum to m, and
+    that (n, m) lies in E and in the square."""
     corner_bit = 1 << (R + 1)  # the corner's one bit; n = 2^corner_bit + r is never formed
     distinct = len(set(lows)) == len(lows)
     if not distinct or sum(1 << c for c in lows) != r or r.bit_length() > corner_bit:
         raise AssertionError("first coordinates do not sum to n")
     if not 0 <= r < 1 << R:
         raise AssertionError("point escapes the dense square")
-
-
-def _validate_seconds(R: int, lows: list[int], f: int, m: int) -> None:
-    """Check with ints that the len(lows) + 1 seconds 2^f sum to m, and that
-    (n, m) lies in E and in the square."""
-    corner_bit = 1 << (R + 1)
     if (len(lows) + 1) << f != m:
         raise AssertionError("second coordinates do not sum to m")
     # in_exceptional(n, m) for m < n: 2^m <= n iff m < n.bit_length() == corner_bit + 1

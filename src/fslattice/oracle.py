@@ -138,18 +138,19 @@ class ReachableSet(Set):
     one bytes object per plane.  Consecutive codes differ in one bit, so each
     DP step costs the planes one XOR.  The constructor runs the DP once and
     keeps only the reach bitset; the first `witness` or `witnesses` call runs
-    it again to build the planes, which are then kept.
+    it again to build the planes, which are then kept.  Only the generators
+    that fit under box.hi are kept: no sum in the box uses the others.
     """
 
     def __init__(self, box: Box, generators: Iterable[Point]):
         self.box = box
-        self.generators = tuple(generators)
         hi = box.hi.coords
+        self.generators = tuple(g for g in generators if all(map(operator.le, g.coords, hi)))
         # every axis but the last is padded by the largest coordinate on it of a
-        # generator that fits, so q + g stays inside q's block whenever q <= hi:
-        # a shift never carries a cell into the next block
-        fitting = [g.coords for g in self.generators if all(map(operator.le, g.coords, hi))]
-        pads = [max(c) for c in zip(*fitting)] if fitting else [0] * len(hi)
+        # generator, so q + g stays inside q's block whenever q <= hi: a shift
+        # never carries a cell into the next block
+        coords = [g.coords for g in self.generators]
+        pads = [max(c) for c in zip(*coords)] if coords else [0] * len(hi)
         self._widths = [h + 1 + pad for h, pad in zip(hi[:-1], pads)] + [hi[-1] + 1]
         # place values of the axes; the last one is the number of padded cells
         self._strides = list(accumulate(self._widths, operator.mul, initial=1))
@@ -157,10 +158,8 @@ class ReachableSet(Set):
         # per axis, one bit at the start of every block of the axes up to it
         self._repeats = [_repeat_mask(s, cells) for s in self._strides[1:]]
         self._inside = self._box_mask([0] * len(hi), hi)
-        # the index offset of each generator that fits; one past hi is never
-        # walked back along, so its offset is 0
-        self._shifts = {c: sum(map(operator.mul, c, self._strides)) for c in fitting}
-        self._offsets = [self._shifts.get(g.coords, 0) for g in self.generators]
+        self._shifts = {c: sum(map(operator.mul, c, self._strides)) for c in coords}
+        self._offsets = [self._shifts[c] for c in coords]
         for reach in self._stages():
             pass  # keep the last stage, the whole DP
         if any(box.lo.coords):
@@ -244,8 +243,7 @@ class ReachableSet(Set):
         box drops the sums past hi.  reach lies in the box already, so only the
         shifted copy is ANDed: a step makes one temporary wider than the box,
         not two, and on large boxes each one costs freshly mapped pages."""
-        offset = self._shifts.get(g.coords)  # None for a generator past hi
-        return reach if offset is None else reach | reach << offset & self._inside
+        return reach | reach << self._shifts[g.coords] & self._inside
 
     def row(self, y: int) -> int:
         """The cells (0..hi_x, y) of a 2D set as one int, bit x for cell (x, y);
@@ -332,7 +330,9 @@ def fs_enumerate(X: GeneratorSet, box: Box, cell_cap: int = DEFAULT_CELL_CAP) ->
     a time: include it or not.  Charges the cells of [0, box.hi] against cell_cap.
     """
     charge(_cells(box.hi), "enumeration domain", cell_cap, "cells")
-    return ReachableSet(box, X.pruned_to(box.hi))
+    if len(X):
+        X.elements[0]._check_dim(box.hi)
+    return ReachableSet(box, X)
 
 
 def trm_table(values: Sequence[int], x_max: int, cell_cap: int = DEFAULT_CELL_CAP) -> list[int]:

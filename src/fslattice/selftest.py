@@ -279,7 +279,8 @@ def crit_trm_bound(seed: int, cell_cap: int) -> dict:
     violations = []
     for x in range(1, 201):
         t = table[x]
-        if t * (t + 1) // 2 > x or t * t > 4 * x:  # t > 2 sqrt(x), exactly
+        # t(t+1)/2 <= x gives t^2 < 2x <= 4x, so this also checks t <= 2 sqrt(x)
+        if t * (t + 1) // 2 > x:
             violations.append(x)
     return {"passed": not violations, "details": {"max_trm": max(table), "violations": violations}}
 

@@ -130,6 +130,16 @@ def test_empty_square_output_is_pinned(capsys):
     )
 
 
+# sha256 of `dyadic dense-square --R 12` stdout: the census and its bounds
+DENSE_SQUARE_SHA256 = "d6bebc5610a447a1ec1f9881aa3d22088be28b9e46de0ee1ba65d9505bb7f39f"
+
+
+def test_dense_square_output_is_pinned(capsys):
+    assert main(["dyadic", "dense-square", "--R", "12"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == DENSE_SQUARE_SHA256
+
+
 # sha256 of `fs enumerate` stdout for 24 seeded generators in [1,9]^2 over the
 # box [0,30]^2: 664 points, each with its witness
 FS_ENUMERATE_SHA256 = "4f3ae0d0deb1fbaf77fd6aa1298f2df72a89871dd8db730b0a9da4a9fdc45efc"

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fslattice import dyadic
+from fslattice import dyadic, selftest
 from fslattice.core import (
     DEFAULT_CELL_CAP,
     Box,
@@ -264,8 +264,7 @@ class TestDenseSquare:
 
     def test_valid_point_passes(self):
         # R = 3: n = 2^16 + 0b101, three firsts, seconds 2^1 each
-        dyadic._validate_firsts(3, 5, [0, 2])
-        dyadic._validate_seconds(3, [0, 2], 1, 6)
+        dyadic._validate_point(3, 5, [0, 2], 1, 6)
 
     @pytest.mark.parametrize(
         "r, lows, f, m, message",
@@ -281,22 +280,34 @@ class TestDenseSquare:
              "m-above-cap", "m-above-corner-bit"],
     )
     def test_each_check_can_fire(self, r, lows, f, m, message):
-        # the census checks the firsts once per r, then the seconds once per f
+        # the census checks each r once, at its largest f
         with pytest.raises(AssertionError, match=message):
-            dyadic._validate_firsts(3, r, lows)
-            dyadic._validate_seconds(3, lows, f, m)
+            dyadic._validate_point(3, r, lows, f, m)
 
-    def test_every_point_is_validated(self, monkeypatch):
-        firsts, points = [], []
-        monkeypatch.setattr(dyadic, "_validate_firsts", lambda R, r, lows: firsts.append(r))
-        monkeypatch.setattr(
-            dyadic, "_validate_seconds", lambda R, lows, f, m: points.append((firsts[-1], m))
-        )
+    def test_each_r_is_validated_once_at_its_largest_f(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(dyadic, "_validate_point", lambda R, r, lows, f, m: calls.append((r, f)))
         rep = dyadic.dense_square_count(6)
-        # the firsts of every r once; the seconds once per point, and the
-        # points (r, m) are pairwise distinct
-        assert firsts == list(range(1 << 6))
-        assert len(points) == len(set(points)) == rep.exact_count
+        assert [r for r, _ in calls] == list(range(1 << 6))
+        assert all(f == dyadic._max_doubling(6, r.bit_count() + 1) for r, f in calls)
+        assert sum(f + 1 for _, f in calls) == rep.exact_count
+
+    def test_planted_extra_doubling_fails(self, monkeypatch):
+        # one f too many for k = 2 puts m = 2 * 2^R above the square's cap
+        max_doubling = dyadic._max_doubling
+        monkeypatch.setattr(
+            dyadic, "_max_doubling", lambda R, k: max_doubling(R, k) + (k == 2)
+        )
+        with pytest.raises(AssertionError, match="point escapes the dense square"):
+            dyadic.dense_square_count(3)
+        with pytest.raises(AssertionError, match="point escapes the dense square"):
+            selftest.run_criterion(6)
+
+    def test_max_doubling_is_the_largest_f(self):
+        for R in range(1, 65):
+            for k in range(1, R + 2):
+                f = dyadic._max_doubling(R, k)
+                assert k << f <= 1 << R < k << (f + 1)
 
 
 def per_cell_map(lo: Point, hi: Point, reach) -> list[bytes]:
