@@ -183,97 +183,34 @@ def _parse_cone_vectors(text: str) -> cone.ConeSpec:
     return cone.ConeSpec(points)
 
 
-@functools.cache  # built on the first main() call, then reused
-def build_parser() -> _Parser:
-    parser = _Parser(prog="fslattice", description=__doc__)
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    fs = sub.add_parser("fs", help="brute-force oracle").add_subparsers(
-        dest="command", required=True
-    )
-    p = fs.add_parser("check")
-    p.add_argument("--generators", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--out")
-    p = fs.add_parser("enumerate")
-    p.add_argument("--generators", required=True)
-    p.add_argument("--box", required=True)
-    p.add_argument("--out")
-    p.add_argument("--heatmap")
-
-    cn = sub.add_parser("cone", help="thin cone generators").add_subparsers(
-        dest="command", required=True
-    )
-    p = cn.add_parser("build")
-    p.add_argument("--v", required=True, help='generators, e.g. "1,2;2,1"')
-    p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--out")
-    p = cn.add_parser("decompose")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--out")
-    p = cn.add_parser("verify")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--max", type=int, default=80)
-    p.add_argument("--out")
-
-    dy = sub.add_parser("dyadic", help="power-of-two grid").add_subparsers(
-        dest="command", required=True
-    )
-    p = dy.add_parser("check")
-    p.add_argument("--point", required=True)
-    p.add_argument("--out")
-    p = dy.add_parser("map")
-    p.add_argument("--box", required=True)
-    p.add_argument("--out", required=True)
-    p = dy.add_parser("empty-square")
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--out")
-    p = dy.add_parser("dense-square")
-    p.add_argument("--R", type=int, required=True)
-    p.add_argument("--out")
-
-    gp = sub.add_parser("gap", help="GAPs and dense rectangles").add_subparsers(
-        dest="command", required=True
-    )
-    p = gp.add_parser("build")
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--L", required=True, help='lengths, e.g. "3,2"')
-    p.add_argument("--out")
-    p = gp.add_parser("rectangle")
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--H", type=int, required=True)
-    p.add_argument("--out")
-    p = gp.add_parser("five-squares")
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    p.add_argument("--out")
-
-    p = sub.add_parser("selftest", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--criteria", help='subset to run, e.g. "1,4,12"')
-    p.add_argument("--out")
-    return parser
+def _int_list(text: str, option: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"{option} must be comma-separated integers, got {text!r}") from None
 
 
-def _cmd_fs(args, cap: int) -> int:
-    if args.command == "check":
-        X = _load_generators(args.generators)
-        target = parse_point(args.target)
-        rep = fs_membership(X, target, cell_cap=cap)
-        _emit(
-            {
-                "target": target.to_json(),
-                "reachable": rep is not None,
-                "representation": rep.to_json() if rep else None,
-            },
-            args.out,
-        )
-        return EXIT_OK
+def _load_cone_spec(path: str) -> tuple[cone.ConeSpec, Optional[int]]:
+    """The cone spec in a JSON file, bare or under "spec", and its "depth" if it gives one."""
+    data = read_json(path)
+    spec = cone.ConeSpec.from_json(data.get("spec", data) if isinstance(data, dict) else data)
+    # from_json accepted data, so it is a dict
+    if "depth" in data and (type(data["depth"]) is not int or data["depth"] < 0):
+        raise ValidationError(f"depth must be a nonnegative integer, got {data['depth']!r}")
+    return spec, data.get("depth")
+
+
+def _fs_check(args, cap: int) -> int:
+    X = _load_generators(args.generators)
+    target = parse_point(args.target)
+    rep = fs_membership(X, target, cell_cap=cap)
+    payload = {"target": target.to_json(), "reachable": rep is not None}
+    payload["representation"] = rep.to_json() if rep else None
+    _emit(payload, args.out)
+    return EXIT_OK
+
+
+def _fs_enumerate(args, cap: int) -> int:
     X = _load_generators(args.generators)
     box = _parse_box(args.box)
     if args.heatmap:
@@ -301,111 +238,99 @@ def _cmd_fs(args, cap: int) -> int:
     return EXIT_OK
 
 
-def _cmd_cone(args, cap: int) -> int:
-    if args.command == "build":
-        spec = _parse_cone_vectors(args.v)
-        X = cone.build_thin_generators(spec, args.depth, cap)
-        _emit(X.to_json(), args.out)
-        return EXIT_OK
-    data = read_json(args.spec)
-    spec = cone.ConeSpec.from_json(data.get("spec", data) if isinstance(data, dict) else data)
-    # from_json accepted data, so it is a dict
-    if "depth" in data and (type(data["depth"]) is not int or data["depth"] < 0):
-        raise ValidationError(f"depth must be a nonnegative integer, got {data['depth']!r}")
-    if args.command == "decompose":
-        target = parse_point(args.point)
-        # one build: at the spec's (or default) depth, or deeper if the point needs it
-        depth = max(
-            data.get("depth", cone.default_depth(spec, target)), cone.required_depth(spec, target)
-        )
-        rep = cone.decompose(spec, cone.build_thin_generators(spec, depth, cap), target)
-        _emit({"depth": depth, "representation": rep.to_json()}, args.out)
-        return EXIT_OK
-    # verify
+def _cone_build(args, cap: int) -> int:
+    X = cone.build_thin_generators(_parse_cone_vectors(args.v), args.depth, cap)
+    _emit(X.to_json(), args.out)
+    return EXIT_OK
+
+
+def _cone_decompose(args, cap: int) -> int:
+    spec, depth = _load_cone_spec(args.spec)
+    target = parse_point(args.point)
+    # one build: at the spec's (or default) depth, or deeper if the point needs it
+    default = cone.default_depth(spec, target)
+    depth = max(default if depth is None else depth, cone.required_depth(spec, target))
+    rep = cone.decompose(spec, cone.build_thin_generators(spec, depth, cap), target)
+    _emit({"depth": depth, "representation": rep.to_json()}, args.out)
+    return EXIT_OK
+
+
+def _cone_verify(args, cap: int) -> int:
+    spec, _ = _load_cone_spec(args.spec)
     _, checked, failures = cone.check_window(spec, args.max, cap)
-    _emit(
-        {
-            "max": args.max,
-            "checked": checked,
-            "passed": not failures,
-            "failing_point": failures[0].to_json() if failures else None,
-        },
-        args.out,
-    )
+    payload = {"max": args.max, "checked": checked, "passed": not failures}
+    payload["failing_point"] = failures[0].to_json() if failures else None
+    _emit(payload, args.out)
     return EXIT_DOMAIN if failures else EXIT_OK
 
 
-def _cmd_dyadic(args, cap: int) -> int:
-    if args.command == "check":
-        p = parse_point(args.point)
-        _require_2d(p, "dyadic check")
-        a, b = p.coords
-        in_e = dyadic.in_exceptional(a, b)
-        rep = None
-        if not in_e:
-            rep = dyadic.dyadic_represent(a, b)
-        _emit(
-            {
-                "point": p.to_json(),
-                "in_exceptional": in_e,
-                "representation": rep.to_json() if rep else None,
-            },
-            args.out,
-        )
-        return EXIT_OK
-    if args.command == "map":
-        box = _parse_box(args.box)
-        _require_2d(box, "dyadic map")
-        dyadic.check_corner(box.lo)  # before the DP, not after it
-        reach = fs_enumerate(dyadic.dyadic_generators(box.hi), box, cell_cap=cap)
-        rows = dyadic.exceptional_map(box.lo, box.hi, reach)
-        _write_pgm(args.out, rows)
-        sys.stdout.write(
-            json.dumps({"heatmap": args.out, "reachable": len(reach.points)}, sort_keys=True)
-            + "\n"
-        )
-        return EXIT_OK
-    if args.command == "empty-square":
-        cert = dyadic.empty_square(args.D, cap)
-        payload = {
-            "x0": dyadic.bit_positions(cert.square.x0),
-            "y0": dyadic.bit_positions(cert.square.y0),
-            "side": cert.square.side,
-            "certificate_ok": cert.all_unreachable(),
-        }
-        if args.verify:
-            payload["verified"] = not dyadic.empty_square_reach(cert, cap)
-        _emit(payload, args.out)
-        return EXIT_OK
+def _dyadic_check(args, cap: int) -> int:
+    p = parse_point(args.point)
+    _require_2d(p, "dyadic check")
+    a, b = p.coords
+    in_e = dyadic.in_exceptional(a, b)
+    rep = None if in_e else dyadic.dyadic_represent(a, b)
+    payload = {"point": p.to_json(), "in_exceptional": in_e}
+    payload["representation"] = rep.to_json() if rep else None
+    _emit(payload, args.out)
+    return EXIT_OK
+
+
+def _dyadic_map(args, cap: int) -> int:
+    box = _parse_box(args.box)
+    _require_2d(box, "dyadic map")
+    dyadic.check_corner(box.lo)  # before the DP, not after it
+    reach = fs_enumerate(dyadic.dyadic_generators(box.hi), box, cell_cap=cap)
+    _write_pgm(args.out, dyadic.exceptional_map(box.lo, box.hi, reach))
+    sys.stdout.write(
+        json.dumps({"heatmap": args.out, "reachable": len(reach.points)}, sort_keys=True) + "\n"
+    )
+    return EXIT_OK
+
+
+def _dyadic_empty_square(args, cap: int) -> int:
+    cert = dyadic.empty_square(args.D, cap)
+    payload = {
+        "x0": dyadic.bit_positions(cert.square.x0),
+        "y0": dyadic.bit_positions(cert.square.y0),
+        "side": cert.square.side,
+        "certificate_ok": cert.all_unreachable(),
+    }
+    if args.verify:
+        payload["verified"] = not dyadic.empty_square_reach(cert, cap)
+    _emit(payload, args.out)
+    return EXIT_OK
+
+
+def _dyadic_dense_square(args, cap: int) -> int:
     _emit(dataclasses.asdict(dyadic.dense_square_count(args.R, cap)), args.out)
     return EXIT_OK
 
 
-def _cmd_gap(args, cap: int) -> int:
-    if args.command == "build":
-        A = _load_ints(args.A)
-        B = _load_ints(args.B)
-        L = [int(v) for v in args.L.split(",")]
-        g = gaps.build_gap(A, B, L, cap)
-        _emit(g.to_json(), args.out)
-        return EXIT_OK
-    if args.command == "rectangle":
-        report = gaps.dense_rectangle(
-            _load_ints(args.A), _load_ints(args.B), args.T, args.H, cell_cap=cap
-        )
-        _emit(report.to_json(), args.out)
-        return EXIT_OK
+def _gap_build(args, cap: int) -> int:
+    A, B = _load_ints(args.A), _load_ints(args.B)
+    _emit(gaps.build_gap(A, B, _int_list(args.L, "--L"), cap).to_json(), args.out)
+    return EXIT_OK
+
+
+def _gap_rectangle(args, cap: int) -> int:
+    A, B = _load_ints(args.A), _load_ints(args.B)
+    _emit(gaps.dense_rectangle(A, B, args.T, args.H, cell_cap=cap).to_json(), args.out)
+    return EXIT_OK
+
+
+def _gap_five_squares(args, cap: int) -> int:
     failures = gaps.five_squares_check(args.lo, args.hi, cap)
     _emit({"lo": args.lo, "hi": args.hi, "failures": failures}, args.out)
     return EXIT_OK
 
 
-def _cmd_selftest(args, cap: int) -> int:
+def _selftest(args, cap: int) -> int:
     ids = None
     if args.criteria is not None:
         if not args.criteria:
             raise ValidationError("--criteria lists no criterion")
-        ids = [int(v) for v in args.criteria.split(",")]
+        ids = _int_list(args.criteria, "--criteria")
     results = run_criteria(args.seed, cap, ids)
     payload = payload_of(args.seed, results)
     for r in results:
@@ -414,6 +339,72 @@ def _cmd_selftest(args, cap: int) -> int:
         sys.stderr.write(f"[{mark}] {r.id:2d} {r.name:36s} {r.elapsed:7.2f} s{limit}\n")
     _emit(payload, args.out)
     return EXIT_OK if payload["all_passed"] else EXIT_DOMAIN
+
+
+@functools.cache  # built on the first main() call, then reused
+def build_parser() -> _Parser:
+    """The command tree; each command's parser sets `run`, the handler main calls."""
+    parser = _Parser(prog="fslattice", description=__doc__)
+    sub = parser.add_subparsers(dest="group", required=True)
+    writes_json = _Parser(add_help=False)  # the parent of every command but `dyadic map`
+    writes_json.add_argument("--out")
+
+    def command(commands, name: str, run, parents=(writes_json,), **kwargs) -> _Parser:
+        p = commands.add_parser(name, parents=list(parents), **kwargs)
+        p.set_defaults(run=run)
+        return p
+
+    def group(name: str, text: str):
+        return sub.add_parser(name, help=text).add_subparsers(dest="command", required=True)
+
+    fs = group("fs", "brute-force oracle")
+    p = command(fs, "check", _fs_check)
+    p.add_argument("--generators", required=True)
+    p.add_argument("--target", required=True)
+    p = command(fs, "enumerate", _fs_enumerate)
+    p.add_argument("--generators", required=True)
+    p.add_argument("--box", required=True)
+    p.add_argument("--heatmap")
+
+    cn = group("cone", "thin cone generators")
+    p = command(cn, "build", _cone_build)
+    p.add_argument("--v", required=True, help='generators, e.g. "1,2;2,1"')
+    p.add_argument("--depth", type=int, default=6)
+    p = command(cn, "decompose", _cone_decompose)
+    p.add_argument("--spec", required=True)
+    p.add_argument("--point", required=True)
+    p = command(cn, "verify", _cone_verify)
+    p.add_argument("--spec", required=True)
+    p.add_argument("--max", type=int, default=80)
+
+    dy = group("dyadic", "power-of-two grid")
+    command(dy, "check", _dyadic_check).add_argument("--point", required=True)
+    p = command(dy, "map", _dyadic_map, parents=())
+    p.add_argument("--box", required=True)
+    p.add_argument("--out", required=True)  # the PGM path
+    p = command(dy, "empty-square", _dyadic_empty_square)
+    p.add_argument("--D", type=int, required=True)
+    p.add_argument("--verify", action="store_true")
+    command(dy, "dense-square", _dyadic_dense_square).add_argument("--R", type=int, required=True)
+
+    gp = group("gap", "GAPs and dense rectangles")
+    p = command(gp, "build", _gap_build)
+    p.add_argument("--A", required=True)
+    p.add_argument("--B", required=True)
+    p.add_argument("--L", required=True, help='lengths, e.g. "3,2"')
+    p = command(gp, "rectangle", _gap_rectangle)
+    p.add_argument("--A", required=True)
+    p.add_argument("--B", required=True)
+    p.add_argument("--T", type=int, required=True)
+    p.add_argument("--H", type=int, required=True)
+    p = command(gp, "five-squares", _gap_five_squares)
+    p.add_argument("--lo", type=int, required=True)
+    p.add_argument("--hi", type=int, required=True)
+
+    p = command(sub, "selftest", _selftest, help="run the acceptance suite")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--criteria", help='subset to run, e.g. "1,4,12"')
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -437,16 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         sys.stderr.write(f"usage error: {message}\n")
         return EXIT_USAGE
     try:
-        cap = _cell_cap()
-        if args.group == "fs":
-            return _cmd_fs(args, cap)
-        if args.group == "cone":
-            return _cmd_cone(args, cap)
-        if args.group == "dyadic":
-            return _cmd_dyadic(args, cap)
-        if args.group == "gap":
-            return _cmd_gap(args, cap)
-        return _cmd_selftest(args, cap)
+        return args.run(args, _cell_cap())
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource error: {exc}\n")
         return EXIT_RESOURCE

@@ -323,6 +323,8 @@ def check_window(
     Charges the (limit + 1)^k window, then X's rays and seed box, against
     cell_cap.
     """
+    if limit < 0:
+        raise ValidationError(f"window limit must be nonnegative, got {limit}")
     corner = Point((limit,) * spec.k)
     charge((limit + 1) ** spec.k, "cone verify window", cell_cap)
     X = build_thin_generators(spec, default_depth(spec, corner), cell_cap)

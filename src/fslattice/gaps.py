@@ -118,7 +118,9 @@ def build_gap(
     at finite scale a first-come greedy choice would exhaust the slice range
     before the later, larger differences could clear it.  Once the input
     checks out, it charges the pair sums it tabulates, C(|slice|, 2) per
-    slice, then the prod(L) GAP elements, against cell_cap.
+    slice, then the prod(L) GAP elements, then their member points against
+    cell_cap: an element with stage counts l holds 2 * sum(l) members, so
+    prod(L) * sum(L_i + 1) in all.
     """
     check_ascending(A, "A")
     check_ascending(B, "B")
@@ -130,6 +132,7 @@ def build_gap(
     slices = slice_interleaved(A, D)
     charge(sum(math.comb(len(s), 2) for s in slices), "gap slices", cell_cap, "pairs", "have")
     charge(math.prod(L), "gap", cell_cap)
+    charge(math.prod(L) * sum(n + 1 for n in L), "gap elements", cell_cap, "member points", "have")
     b1, b2 = B[0], B[1]
     vstep = b1 + b2
 
@@ -323,7 +326,9 @@ def dense_rectangle(
     the other slice so every column has trm >= Q+1, then each column x holds
     at least |trm(x)-fold sumset of B_T| points of height <= 2QT.  The ledger
     bound sums those column guarantees; the measured count comes from the
-    brute-force oracle.
+    brute-force oracle, over the pairs of A x B that fit in the rectangle,
+    whose count it charges before it builds them.  That DP charges its cells
+    before the ledger's column sumsets run.
     """
     check_ascending(A, "A")
     check_ascending(B, "B")
@@ -352,6 +357,12 @@ def dense_rectangle(
     merged = sorted(set(A1) | set(shift_elements))
     table = trm_table(merged, b, cell_cap)
 
+    fit_a, fit_b = [av for av in A if av <= b], [bv for bv in B if bv <= height]
+    charge(len(fit_a) * len(fit_b), "rectangle", cell_cap, "generators")
+    generators = GeneratorSet.of(Point((av, bv)) for av in fit_a for bv in fit_b)
+    box = Box(Point((a, 1)), Point((b, height)))
+    measured = len(fs_enumerate(generators, box, cell_cap=cell_cap).points)
+
     ledger = 0
     column_terms = []
     trm_ok = True
@@ -364,13 +375,6 @@ def dense_rectangle(
             usable = sum(1 for s in sumset_iterate(B_T, q_x) if s <= height)
         ledger += usable
         column_terms.append((x, q_x, usable))
-
-    generators = GeneratorSet.of(
-        Point((av, bv)) for av in A for bv in B
-    )
-    box = Box(Point((a, 1)), Point((b, height)))
-    reach = fs_enumerate(generators, box, cell_cap=cell_cap)
-    measured = len(reach.points)
 
     rect_points = (b - a + 1) * height
     b_density = len(B_T) / T

@@ -288,7 +288,7 @@ def _at_cap_cases(tmp):
     the charges in the order the command makes them."""
     cone_a = write_json(tmp / "cone-a.json", {"v": [[1, 2], [2, 1]]})
     cone_b = write_json(tmp / "cone-b.json", {"v": [[1, 1], [1, 2]]})
-    A9 = write_json(tmp / "a9.json", list(range(1, 10)))
+    A16 = write_json(tmp / "a16.json", list(range(1, 17)))
     A40 = write_json(tmp / "a40.json", list(range(1, 41)))
     B, B3 = write_json(tmp / "b.json", [1, 2]), write_json(tmp / "b3.json", [1, 2, 3])
     x0 = 2**8 - 2**4  # the corner of the D = 3 proof square; its box is [x0 + 1, x0 + 3] x [2, 4]
@@ -328,10 +328,14 @@ def _at_cap_cases(tmp):
             ["dyadic", "dense-square", "--R", "4"],
             [(2**4, "dense square has 2^4 points, above the cap of {cap}")],
         ),
-        # two slices of 5 and 4: 10 + 6 pairs, then 1 * 2 GAP elements
+        # two slices of 8: 28 + 28 pairs, then 2 * 4 GAP elements holding 8 * (3 + 5) member points
         "gap-build": (
-            ["gap", "build", "--A", A9, "--B", B, "--L", "1,2"],
-            [_over(10 + 6, "gap slices", "pairs", "have"), _over(2, "gap")],
+            ["gap", "build", "--A", A16, "--B", B, "--L", "2,4"],
+            [
+                _over(28 + 28, "gap slices", "pairs", "have"),
+                _over(8, "gap"),
+                _over(64, "gap elements", "member points", "have"),
+            ],
         ),
         # its largest DP is the measured rectangle's (test_gap_rectangle_runs_at_its_largest_dp)
         "gap-rectangle": (
@@ -375,6 +379,65 @@ def test_every_command_decides_its_cap(tmp_path):
     charged = {_command(argv) for argv, _ in _at_cap_cases(tmp_path).values()}
     assert not charged & CHARGES_NOTHING
     assert _commands(cli.build_parser()) == charged | CHARGES_NOTHING
+
+
+def _leaf_parsers(parser, names=()):
+    """Each subcommand's parser under parser, by name, e.g. {"cone build": ...}."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {" ".join(names): parser}
+    return {k: v for name, p in subs[0].choices.items() for k, v in _leaf_parsers(p, names + (name,)).items()}
+
+
+def test_every_command_has_its_handler_and_the_shared_out():
+    leaves = _leaf_parsers(cli.build_parser())
+    handlers = [p.get_default("run") for p in leaves.values()]
+    assert all(map(callable, handlers)) and len(set(handlers)) == len(leaves)
+    outs = {name: p._option_string_actions.get("--out") for name, p in leaves.items()}
+    pgm = outs.pop("dyadic map")  # the PGM path, which the command needs
+    shared = outs["selftest"]
+    assert all(out is shared for out in outs.values()) and not shared.required
+    assert pgm is not shared and pgm.required
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gap", "build", "--A", "a.json", "--B", "b.json", "--L", "3,x"], "--L must be comma-separated integers, got '3,x'"),
+        (["selftest", "--criteria", "1,x"], "--criteria must be comma-separated integers, got '1,x'"),
+        (["cone", "verify", "--spec", "cone.json", "--max", "-1"], "window limit must be nonnegative, got -1"),
+    ],
+    ids=["gap-build-lengths", "selftest-criteria", "cone-verify-max"],
+)
+def test_bad_option_value_is_named(capsys, tmp_path, argv, message):
+    write_json(tmp_path / "a.json", list(range(1, 13)))
+    write_json(tmp_path / "b.json", [1, 2])
+    write_json(tmp_path / "cone.json", {"v": [[1, 2], [2, 1]]})
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert run(capsys, argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "A, B, options, cap, uncharged, refusal",
+    [
+        # 56 pairs and 8 elements fit; their 64 member points do not
+        (range(1, 17), [1, 2], ["build", "--L", "2,4"], 63, "Representation",
+         "gap elements have 64 member points, above the cap of 63"),
+        # the DP over [0, 59] x [0, 2400] is refused before any column's sumset
+        (range(1, 41), range(1, 401), ["rectangle", "--T", "400", "--H", "30"], 10**5, "sumset_iterate",
+         "enumeration domain has 240060 cells, above the cap of 100000"),
+    ],
+    ids=["gap-build-members", "gap-rectangle-dp"],
+)
+def test_gap_refuses_before_uncharged_work(capsys, monkeypatch, tmp_path, A, B, options, cap, uncharged, refusal):
+    def refuse(*args):
+        raise AssertionError(f"called {uncharged}")
+
+    monkeypatch.setattr(gaps, uncharged, refuse)
+    monkeypatch.setenv("FSLATTICE_CAP", str(cap))
+    argv = ["gap", options[0], "--A", write_json(tmp_path / "a.json", list(A)),
+            "--B", write_json(tmp_path / "b.json", list(B)), *options[1:]]
+    assert run(capsys, argv) == (2, "", f"resource error: {refusal}\n")
 
 
 class TestExitCodes:

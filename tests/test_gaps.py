@@ -103,6 +103,56 @@ class TestCellCap:
         with pytest.raises(ValidationError):  # the input is checked first: A is not ascending
             gaps.build_gap([3, 2, 1], [1, 2], [1], cell_cap=1)
 
+    def test_gap_charges_member_points_before_building_them(self, monkeypatch):
+        # two slices of 8: 28 + 28 pairs, then 2 * 4 elements holding 8 * (3 + 5) member points
+        A, B, L = list(range(1, 17)), [1, 2], [2, 4]
+        g = gaps.build_gap(A, B, L)
+        assert sum(len(rep.members) for _, rep in g.elements) == 64
+        assert gaps.build_gap(A, B, L, cell_cap=64) == g
+
+        def refuse(*args):
+            raise AssertionError("built an element")
+
+        monkeypatch.setattr(gaps, "Representation", refuse)
+        with pytest.raises(ResourceLimitError, match="^gap elements have 64 member points, above the cap of 63$"):
+            gaps.build_gap(A, B, L, cell_cap=63)
+
+    def test_rectangle_charges_its_generators_then_its_dp_before_the_columns(self, monkeypatch):
+        # A = B = 1..600, T = 3, H = 30: the rectangle [31, 59] x [1, 30] fits 59 * 30 pairs of
+        # A x B, and its DP has 60 * 31 cells; the trm tables before them need at most 660
+        A = list(range(1, 601))
+        report = gaps.dense_rectangle(A, A, 3, 30)
+        assert (report.interval, report.height, report.measured) == ((31, 59), 30, 870)
+
+        def refuse(*args):
+            raise AssertionError("ran the uncharged work")
+
+        with monkeypatch.context() as m:
+            m.setattr(GeneratorSet, "of", refuse)
+            with pytest.raises(ResourceLimitError, match="^rectangle has 1770 generators, above the cap of 1769$"):
+                gaps.dense_rectangle(A, A, 3, 30, cell_cap=1769)
+        monkeypatch.setattr(gaps, "sumset_iterate", refuse)
+        with pytest.raises(ResourceLimitError, match="^enumeration domain has 1860 cells, above the cap of 1859$"):
+            gaps.dense_rectangle(A, A, 3, 30, cell_cap=1859)
+
+    def test_rectangle_enumerates_only_the_pairs_that_fit(self, monkeypatch):
+        A = list(range(1, 601))
+        handed = []
+
+        def recording(X, box, cell_cap):
+            if box.dim == 2:
+                handed.append((X, box))
+            return fs_enumerate(X, box, cell_cap)
+
+        monkeypatch.setattr(gaps, "fs_enumerate", recording)
+        report = gaps.dense_rectangle(A, A, 3, 30)
+        [(X, box)] = handed
+        b, height = report.interval[1], report.height
+        assert box.hi == Point((b, height))
+        assert X.coord_set == {(x, y) for x in range(1, b + 1) for y in range(1, height + 1)}
+        everything = GeneratorSet.of(Point((x, y)) for x in A for y in A)
+        assert report.measured == len(fs_enumerate(everything, box).points)
+
     def test_gap_admits_its_size(self):
         A, B, L = list(range(1, 61)), [1, 2], [3, 2]
         assert gaps.build_gap(A, B, L, cell_cap=2 * 435) == gaps.build_gap(A, B, L)
