@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional, Sequence
+from itertools import islice, product
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     Box,
@@ -254,6 +254,15 @@ def find_ap_in_fs(A1: Sequence[int], H: int, cell_cap: int = DEFAULT_CELL_CAP) -
     )
 
 
+def _sumset_levels(B_T: Sequence[int], top: int) -> Iterator[set[int]]:
+    """The q-fold sumsets of B_T cut at top, for q = 1, 2, ...; the cut is exact
+    because the values are positive, so each partial sum of a sum <= top is <= top."""
+    level = {b for b in B_T if b <= top}
+    while True:
+        yield level
+        level = {t for s in level for b in B_T if (t := s + b) <= top}
+
+
 def sumset_iterate(B_T: Sequence[int], Q: int) -> list[int]:
     """Q-fold sumset (values may repeat across the Q picks), sorted.
 
@@ -265,10 +274,7 @@ def sumset_iterate(B_T: Sequence[int], Q: int) -> list[int]:
         raise ValidationError("Q must be >= 1")
     if not B_T:
         raise ValidationError("B_T must be nonempty")
-    current = set(B_T)
-    for _ in range(Q - 1):
-        current = {s + b for s in current for b in B_T}
-    out = sorted(current)
+    out = sorted(next(islice(_sumset_levels(B_T, Q * B_T[-1]), Q - 1, None)))
     assert len(out) >= Q * len(B_T) - (Q - 1)
     assert out[0] == Q * B_T[0] and out[-1] == Q * B_T[-1]
     return out
@@ -328,7 +334,8 @@ def dense_rectangle(
     bound sums those column guarantees; the measured count comes from the
     brute-force oracle, over the pairs of A x B that fit in the rectangle,
     whose count it charges before it builds them.  That DP charges its cells
-    before the ledger's column sumsets run.
+    before the ledger, which walks the sumsets of B_T cut at the height once,
+    up to the largest trm(x), after charging that walk's additions.
     """
     check_ascending(A, "A")
     check_ascending(B, "B")
@@ -344,8 +351,6 @@ def dense_rectangle(
 
     table1 = trm_table(A1, H, cell_cap)
     Q = max(table1[ap.start :: ap.difference])  # the AP's members in [1, H]
-    if Q < 1:
-        raise DomainError("arithmetic progression has no reachable member")
     if len(A2) < Q:
         raise DomainError(f"second slice too small for the {Q}-element shift")
     shift_elements = tuple(A2[:Q])
@@ -363,18 +368,13 @@ def dense_rectangle(
     box = Box(Point((a, 1)), Point((b, height)))
     measured = len(fs_enumerate(generators, box, cell_cap=cell_cap).points)
 
-    ledger = 0
-    column_terms = []
-    trm_ok = True
-    for x in columns:
-        q_x = table[x]
-        if q_x < Q + 1:
-            trm_ok = False
-        usable = 0
-        if q_x >= 1:
-            usable = sum(1 for s in sumset_iterate(B_T, q_x) if s <= height)
-        ledger += usable
-        column_terms.append((x, q_x, usable))
+    q_top = max(table[x] for x in columns)
+    walk = min(q_top, height // B_T[0]) * (height + 1) * len(B_T)
+    charge(walk, "rectangle ledger", cell_cap, "additions", "needs")
+    sizes = [0, *map(len, islice(_sumset_levels(B_T, height), q_top))]  # sizes[q] = |q B_T cut at height|
+    column_terms = tuple((x, table[x], sizes[table[x]]) for x in columns)
+    ledger = sum(usable for _, _, usable in column_terms)
+    trm_ok = all(q_x >= Q + 1 for _, q_x, _ in column_terms)
 
     rect_points = (b - a + 1) * height
     b_density = len(B_T) / T
@@ -391,7 +391,7 @@ def dense_rectangle(
         Q=Q,
         shift=shift,
         shift_elements=shift_elements,
-        column_terms=tuple(column_terms),
+        column_terms=column_terms,
         trm_floor_ok=trm_ok,
     )
 

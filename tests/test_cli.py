@@ -423,11 +423,14 @@ def test_bad_option_value_is_named(capsys, tmp_path, argv, message):
         # 56 pairs and 8 elements fit; their 64 member points do not
         (range(1, 17), [1, 2], ["build", "--L", "2,4"], 63, "Representation",
          "gap elements have 64 member points, above the cap of 63"),
-        # the DP over [0, 59] x [0, 2400] is refused before any column's sumset
-        (range(1, 41), range(1, 401), ["rectangle", "--T", "400", "--H", "30"], 10**5, "sumset_iterate",
+        # the DP over [0, 59] x [0, 4000] is refused before the ledger's walk
+        (range(1, 41), range(1, 401), ["rectangle", "--T", "400", "--H", "30"], 10**5, "_sumset_levels",
          "enumeration domain has 240060 cells, above the cap of 100000"),
+        # the walk up to trm 10 at height 4000 over 400 values is refused before its first level
+        (range(1, 41), range(1, 401), ["rectangle", "--T", "400", "--H", "30"], 10**7, "_sumset_levels",
+         "rectangle ledger needs 16004000 additions, above the cap of 10000000"),
     ],
-    ids=["gap-build-members", "gap-rectangle-dp"],
+    ids=["gap-build-members", "gap-rectangle-dp", "gap-rectangle-ledger"],
 )
 def test_gap_refuses_before_uncharged_work(capsys, monkeypatch, tmp_path, A, B, options, cap, uncharged, refusal):
     def refuse(*args):

@@ -131,9 +131,22 @@ class TestCellCap:
             m.setattr(GeneratorSet, "of", refuse)
             with pytest.raises(ResourceLimitError, match="^rectangle has 1770 generators, above the cap of 1769$"):
                 gaps.dense_rectangle(A, A, 3, 30, cell_cap=1769)
-        monkeypatch.setattr(gaps, "sumset_iterate", refuse)
+        monkeypatch.setattr(gaps, "_sumset_levels", refuse)
         with pytest.raises(ResourceLimitError, match="^enumeration domain has 1860 cells, above the cap of 1859$"):
             gaps.dense_rectangle(A, A, 3, 30, cell_cap=1859)
+
+    def test_rectangle_charges_its_ledger_walk_before_the_first_level(self, monkeypatch):
+        # A = B = 1..40, T = 40, H = 30: height 400 and the largest trm(x) is 10, so the walk
+        # needs 10 * 401 * 40 additions, above the DP's 60 * 401 cells
+        A = list(range(1, 41))
+        assert gaps.dense_rectangle(A, A, 40, 30, cell_cap=160400) == gaps.dense_rectangle(A, A, 40, 30)
+
+        def refuse(*args):
+            raise AssertionError("walked a level")
+
+        monkeypatch.setattr(gaps, "_sumset_levels", refuse)
+        with pytest.raises(ResourceLimitError, match="^rectangle ledger needs 160400 additions, above the cap of 160399$"):
+            gaps.dense_rectangle(A, A, 40, 30, cell_cap=160399)
 
     def test_rectangle_enumerates_only_the_pairs_that_fit(self, monkeypatch):
         A = list(range(1, 601))
@@ -259,8 +272,53 @@ class TestSumsetIterate:
         assert out == brute
         assert len(out) >= Q * len(B_T) - (Q - 1)
 
+    def test_cost_follows_the_count_of_sums_not_their_range(self):
+        assert gaps.sumset_iterate([1, 10**12], 3) == [3, 10**12 + 2, 2 * 10**12 + 1, 3 * 10**12]
+
+    @settings(deadline=None)
+    @given(
+        st.sets(st.integers(min_value=1, max_value=40), min_size=1, max_size=8),
+        st.integers(min_value=0, max_value=300),
+    )
+    def test_levels_are_the_sums_up_to_top(self, values, top):
+        B_T = sorted(values)
+        levels = gaps._sumset_levels(B_T, top)
+        for q in range(1, 7):
+            assert next(levels) == {s for c in combinations_with_replacement(B_T, q) if (s := sum(c)) <= top}
+
 
 class TestDenseRectangle:
+    def test_ledger_walks_the_levels_once(self, monkeypatch):
+        walks = []
+
+        def counting(B_T, top):
+            walks.append((list(B_T), top))
+            return levels(B_T, top)
+
+        def refuse(*args):
+            raise AssertionError("called sumset_iterate")
+
+        levels = gaps._sumset_levels
+        monkeypatch.setattr(gaps, "_sumset_levels", counting)
+        monkeypatch.setattr(gaps, "sumset_iterate", refuse)
+        A = list(range(1, 41))
+        report = gaps.dense_rectangle(A, A, 40, 30)
+        assert walks == [(A, report.height)]
+        for _, q_x, usable in report.column_terms:  # q_x picks from 1..40 sum to each of q_x..40 q_x
+            assert usable == min(40 * q_x, report.height) - q_x + 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sets(st.integers(min_value=1, max_value=40), min_size=1, max_size=15),
+        st.integers(min_value=8, max_value=60),
+    )
+    def test_found_class_starts_at_a_reachable_member(self, values, H):
+        # so the rectangle's Q, the largest trm over the class in [1, H], is at least 1
+        A1 = sorted(values)
+        ap = gaps.find_ap_in_fs(A1, H)
+        if ap.found:
+            assert oracle.trm_table(A1, H)[ap.start] >= 1
+
     def test_measured_beats_ledger(self):
         report = gaps.dense_rectangle(list(range(1, 41)), [1, 2, 3], T=3, H=30)
         assert report.measured >= report.ledger_bound
