@@ -11,6 +11,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
@@ -59,51 +60,80 @@ def _wrap(brackets: str, parts: list[str], ind: str) -> str:
     if not parts:
         return brackets
     inner = ind + "  "
-    return brackets[0] + inner + ("," + inner).join(parts) + ind + brackets[1]
+    # an f-string copies the joined parts once, where + would copy them twice
+    return f"{brackets[0]}{inner}{(',' + inner).join(parts)}{ind}{brackets[1]}"
 
 
 _INT_ONLY = frozenset({int})
+_STR_ONLY = frozenset({str})
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_TUPLE_ONLY = frozenset({tuple})
+_ARRAYS = frozenset({list, tuple})
 
 
 def _json_text(payload: object) -> str:
     """The text of json.dumps(payload, sort_keys=True, indent=2), by joins:
     given an indent, json.dumps leaves its C encoder for a pure-Python one.
-    A scalar other than an exact int or str is json.dumps'd alone, which
-    writes it as the indented encoder does.  A memo, local to the call,
-    renders each tuple of exact ints once per indent, keyed by the tuple's
-    identity: witness members are the same few generator tuples over and
-    over, so each is type-checked once, not once per listing.  The keyed
-    tuples stay alive for the whole call, so no id is reused."""
+    None and the bools are json's constants; a scalar other than these, an
+    exact int or a str is json.dumps'd alone, which writes it as the indented
+    encoder does.  An array's items are rendered
+    as one batch.  Exact ints are written by repr.  Tuples are rendered once
+    per distinct object and indent, through a memo local to the call keyed by
+    identity (witness members are the same few generator tuples over and
+    over); when the unseen ones all hold exact ints and have one length, one
+    %d template per (indent, length) renders them.  A dict whose values are
+    all arrays renders their items as one batch and joins each value in its
+    own comprehension.  The memo's tuples are the payload's, alive for the
+    whole call, so no id is reused."""
     memo: dict[str, dict[int, str]] = {}  # indent -> id of a tuple -> text
-    keyed: list[tuple[int, ...]] = []
 
     def render(v: object, ind: str) -> str:
         if type(v) is int:
             return int.__repr__(v)
         if type(v) is str:
             return encode_basestring_ascii(v)
+        if v is None or type(v) is bool:
+            return _CONSTANTS[v]
         if isinstance(v, dict):
             inner = ind + "  "
-            return _wrap("{}", [_json_key(k) + ": " + render(x, inner) for k, x in sorted(v.items())], ind)
+            order = sorted(v)  # as json's sorted(v.items()): the keys are distinct
+            values = list(map(v.__getitem__, order))
+            key = encode_basestring_ascii if _STR_ONLY.issuperset(map(type, v)) else _json_key
+            keys = list(map(key, order))
+            if values and _ARRAYS.issuperset(map(type, values)):
+                # the values' items in one batch; each value joins its share
+                texts = iter(batch(list(chain.from_iterable(values)), inner + "  "))
+                head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+                parts = [
+                    f"{k}: {head}{sep.join(islice(texts, len(x)))}{tail}" if x else k + ": []"
+                    for k, x in zip(keys, values)
+                ]
+            else:
+                parts = [k + ": " + render(x, inner) for k, x in zip(keys, values)]
+            return _wrap("{}", parts, ind)
         if not isinstance(v, (list, tuple)):
             return json.dumps(v)
+        return _wrap("[]", batch(v, ind + "  "), ind)
+
+    def batch(v: Sequence[object], ind: str) -> list[str]:
+        """The texts of the items v, each opening a line at indent ind."""
         if _INT_ONLY.issuperset(map(type, v)):
-            return _wrap("[]", list(map(int.__repr__, v)), ind)
-        inner = ind + "  "
-        texts = memo.setdefault(inner, {})
-        parts = list(map(texts.get, map(id, v)))
-        if None in parts:
-            parts = []
-            for x in v:
-                text = texts.get(id(x))
-                if text is None:
-                    if type(x) is tuple and _INT_ONLY.issuperset(map(type, x)):
-                        text = texts[id(x)] = _wrap("[]", list(map(int.__repr__, x)), inner)
-                        keyed.append(x)
-                    else:
-                        text = render(x, inner)
-                parts.append(text)
-        return _wrap("[]", parts, ind)
+            return list(map(int.__repr__, v))
+        if not _TUPLE_ONLY.issuperset(map(type, v)):
+            return [render(x, ind) for x in v]
+        texts = memo.setdefault(ind, {})
+        ids = list(map(id, v))
+        objects = dict(zip(ids, v))  # each distinct tuple once
+        unseen = [objects[key] for key in objects.keys() - texts.keys()]
+        lengths = set(map(len, unseen))
+        if len(lengths) == 1 and _INT_ONLY.issuperset(map(type, chain.from_iterable(unseen))):
+            template = _wrap("[]", ["%d"] * lengths.pop(), ind)  # "[]" for ()
+            if len(unseen) == len(ids):  # no tuple repeats or was seen: nothing to reuse
+                return list(map(template.__mod__, v))
+            texts.update(zip(map(id, unseen), map(template.__mod__, unseen)))
+        else:
+            texts.update([(id(x), render(x, ind)) for x in unseen])
+        return list(map(texts.__getitem__, ids))
 
     return render(payload, "\n")
 
@@ -216,12 +246,10 @@ def _fs_enumerate(args, cap: int) -> int:
     if args.heatmap:
         _require_2d(box, "--heatmap")
     reach = fs_enumerate(X, box, cell_cap=cap)
-    points = []  # coordinate tuples, which _emit writes as lists
-    witnesses = {}
-    for c, members in reach.witnesses():
-        points.append(c)
-        witnesses["(" + ",".join(map(str, c)) + ")"] = members  # the key is str(Point(c))
-    points.sort()
+    walk = dict(reach.witnesses())  # coordinate tuple -> members, tuples that _emit writes as lists
+    key = "(" + ",".join(["%d"] * box.dim) + ")"  # str(Point(c)) for a c of this dimension
+    witnesses = dict(zip(map(key.__mod__, walk), walk.values()))
+    points = sorted(walk)
     payload = {
         "box": {"lo": box.lo.to_json(), "hi": box.hi.to_json()},
         "count": len(points),

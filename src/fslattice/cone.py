@@ -298,11 +298,14 @@ def decompose_coords(
 def cone_points(spec: ConeSpec, hi: Sequence[int]) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The nonzero cone points of the box [0, hi], in lexicographic order, as
     (coords, spec.numerators(coords)) tuples.  Each point's numerators are
-    computed once, and a negative one skips a point outside the cone."""
+    computed once, and a negative one skips a point outside the cone.  A step
+    that adds 1 to the last coordinate adds the inverse's last column to the
+    numerators: k additions, not the k^2 products of `numerators`."""
     numerators = spec.numerators
-    # the box's first tuple in lexicographic order is the origin
+    column = tuple(row[-1] for row in spec._num)  # type: ignore[attr-defined]
+    nums = (0,) * len(hi)  # the origin's, the box's first tuple in lexicographic order
     for p in islice(product(*(range(h + 1) for h in hi)), 1, None):
-        nums = numerators(p)
+        nums = tuple(map(operator.add, nums, column)) if p[-1] else numerators(p)
         if min(nums) >= 0:
             yield p, nums
 

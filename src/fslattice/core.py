@@ -228,9 +228,9 @@ def validate_sum(members: Sequence[tuple[int, ...]], target: tuple[int, ...]) ->
         raise ValidationError("member/target dimension mismatch")
     if len(set(members)) != len(members):
         return False
-    # column i holds the target's coordinate i, then each member's
-    columns = zip(target, *members)
-    return all(t == sum(col) for t, *col in columns)
+    if not members:
+        return not any(target)
+    return tuple(map(sum, zip(*members))) == tuple(target)
 
 
 @dataclass(frozen=True)

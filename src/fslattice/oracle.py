@@ -8,8 +8,10 @@ only does exhaustive subset search and include-or-not dynamic programming.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from collections.abc import Set
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import accumulate
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -37,10 +39,9 @@ def fs_membership(
     the generators in reverse canonical order, so after j of them its set is
     FS(gens[n-j:]).  The search skips generator i exactly while the remainder
     is still in FS(gens[i+1:]), so it includes the generator whose stage first
-    reached the remainder: the one `ReachableSet.witness` takes.  An
-    unreachable target costs one DP pass; a reachable one costs a second, which
-    builds the witness planes.  A target box beyond the cap goes to the search
-    itself, bounded by cell_cap nodes.
+    reached the remainder: the one `ReachableSet.witness` takes.  That one DP
+    pass also builds the witness planes.  A target box beyond the cap goes to
+    the search itself, bounded by cell_cap nodes.
     """
     if len(X) and X.dim != target.dim:
         raise ValidationError("generator/target dimension mismatch")
@@ -52,7 +53,7 @@ def fs_membership(
         return None
     if _cells(target) > cell_cap:
         return _search_membership(gens, target, cell_cap)
-    reach = ReachableSet(Box(Point.zero(target.dim), target), gens[::-1])
+    reach = ReachableSet(Box(Point.zero(target.dim), target), gens[::-1], planes=True)
     return reach.witness(target) if target in reach else None
 
 
@@ -136,13 +137,14 @@ class ReachableSet(Set):
     including generator k - 1; 0 for the origin), kept bit-sliced as its Gray
     code g(k) = k ^ (k >> 1): bit j of g(k) is the cell's bit of plane j, in
     one bytes object per plane.  Consecutive codes differ in one bit, so each
-    DP step costs the planes one XOR.  The constructor runs the DP once and
-    keeps only the reach bitset; the first `witness` or `witnesses` call runs
-    it again to build the planes, which are then kept.  Only the generators
-    that fit under box.hi are kept: no sum in the box uses the others.
+    DP step costs the planes one XOR.  The constructor runs the DP once; with
+    planes=True that pass also builds the planes, and otherwise it keeps only
+    the reach bitset and the first `witness` or `witnesses` call runs the DP
+    again to build them.  Only the generators that fit under box.hi are kept:
+    no sum in the box uses the others.
     """
 
-    def __init__(self, box: Box, generators: Iterable[Point]):
+    def __init__(self, box: Box, generators: Iterable[Point], *, planes: bool = False):
         self.box = box
         hi = box.hi.coords
         self.generators = tuple(g for g in generators if all(map(operator.le, g.coords, hi)))
@@ -160,8 +162,9 @@ class ReachableSet(Set):
         self._inside = self._box_mask([0] * len(hi), hi)
         self._shifts = {c: sum(map(operator.mul, c, self._strides)) for c in coords}
         self._offsets = [self._shifts[c] for c in coords]
-        for reach in self._stages():
-            pass  # keep the last stage, the whole DP
+        reach, gray = self._run(planes)
+        if planes:
+            self._planes = gray
         if any(box.lo.coords):
             reach &= self._box_mask(box.lo.coords, hi)
         self._len = reach.bit_count()
@@ -176,23 +179,30 @@ class ReachableSet(Set):
             reach = self._include(reach, g)
             yield reach
 
+    def _run(self, planes: bool) -> tuple[int, list[bytes]]:
+        """One DP pass: the last of `_stages()`, the whole reach, and with
+        planes the Gray-coded first-reach planes, most significant bit first
+        (none without).  A cell first reached at stage k is in stages k..n,
+        and g(k) is the XOR of g(m) ^ g(m + 1) over m = k..n - 1 and of g(n):
+        so stage m < n XORs its cells into the one plane where g(m) and
+        g(m + 1) differ, bit tz(m + 1), and stage n into the planes of the set
+        bits of g(n)."""
+        n = len(self.generators)
+        gray = [0] * n.bit_length() if planes else []
+        for m, reach in enumerate(self._stages()):
+            if planes:
+                flips = (m + 1) & -(m + 1) if m < n else n ^ n >> 1
+                for j in range(flips.bit_length()):
+                    if flips >> j & 1:
+                        gray[j] ^= reach
+        size = self._strides[-1] // 8 + 1  # the size of the reach bytes
+        return reach, [plane.to_bytes(size, "little") for plane in reversed(gray)]
+
     @cached_property
     def _planes(self) -> list[bytes]:
-        """The Gray-coded first-reach planes, most significant bit first, built
-        by a second pass of the DP on the first call and kept.  A cell first
-        reached at stage k is in stages k..n, and g(k) is the XOR of
-        g(m) ^ g(m + 1) over m = k..n - 1 and of g(n): so stage m < n XORs its
-        cells into the one plane where g(m) and g(m + 1) differ, bit tz(m + 1),
-        and stage n into the planes of the set bits of g(n)."""
-        n = len(self.generators)
-        planes = [0] * n.bit_length()
-        for m, reach in enumerate(self._stages()):
-            flips = (m + 1) & -(m + 1) if m < n else n ^ n >> 1
-            for j in range(flips.bit_length()):
-                if flips >> j & 1:
-                    planes[j] ^= reach
-        size = len(self._bytes)
-        return [plane.to_bytes(size, "little") for plane in reversed(planes)]
+        """The planes of a set built without them, by a second DP pass on the
+        first call; kept."""
+        return self._run(True)[1]
 
     @property
     def points(self) -> "ReachableSet":
@@ -208,20 +218,21 @@ class ReachableSet(Set):
         return fits and bool(_bit(self._bytes, self._index(p)))
 
     def __iter__(self) -> Iterator[Point]:
-        return map(Point, self._cells())
+        return map(Point, map(_COORDS_OF, self._cells()))
 
-    def _cells(self) -> Iterator[tuple[int, ...]]:
-        """The coordinates of every point, in iteration order."""
+    def _cells(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(cell index, coordinates) of every point, in iteration order."""
         # walk the bytes: clearing one bit at a time would copy the int per point;
         # decode each byte's first cell once and step along axis 0 from there
         width = self._strides[1]
         for base, byte in enumerate(self._bytes):
             if byte:
-                first = self._coords(8 * base)
+                i = 8 * base
+                first = self._coords(i)
                 x0, rest = first[0], first[1:]
                 for bit in _BYTE_BITS[byte]:
                     x = x0 + bit
-                    yield (x,) + rest if x < width else self._coords(8 * base + bit)
+                    yield i + bit, (x,) + rest if x < width else self._coords(i + bit)
 
     def _index(self, p: Point) -> int:
         return sum(map(operator.mul, p.coords, self._strides))
@@ -271,7 +282,8 @@ class ReachableSet(Set):
     def witness(self, p: Point) -> Representation:
         """One representation of a reachable point: include the generator that
         first reached the cell, step back by its offset, and repeat to the origin.
-        The first call of this or of `witnesses` builds the planes (a second DP pass)."""
+        Unless the set was built with planes=True, the first call of this or of
+        `witnesses` builds the planes (a second DP pass)."""
         if p not in self:
             raise ValidationError(f"{p} is not reachable inside the box")
         members: list[Point] = []
@@ -281,28 +293,55 @@ class ReachableSet(Set):
             i -= self._offsets[k - 1]
         return Representation(tuple(sorted(members, key=COORDS)), p)
 
+    def _first_reach_table(self) -> array:
+        """Every cell's first-reach index, indexed by cell, decoded from the
+        planes at once.  Bit j of k is the XOR of the code's bits j and up, so
+        a running XOR of the planes, most significant first, gives k's bit
+        planes.  Each is spread to one bit per cell lane (a table maps a plane
+        byte to its 8 lanes) and shifted into bit j of every lane.  A lane has
+        as many bytes as k needs, so any generator count decodes."""
+        planes = self._planes
+        table = next(a for a in map(array, "BHIQ") if a.itemsize * 8 >= len(planes))
+        spread = _spread_bits(table.itemsize)
+        code = lanes = 0
+        for j, plane in zip(range(len(planes) - 1, -1, -1), planes):
+            code ^= int.from_bytes(b"".join(map(spread.__getitem__, plane)), "little")
+            lanes |= code << j
+        table.frombytes(lanes.to_bytes(len(self._bytes) * 8 * table.itemsize, "little"))
+        if sys.byteorder == "big":
+            table.byteswap()
+        return table
+
     def witnesses(self) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
         """(coords, members) for every point, in iteration order, on coordinate
         tuples: members lists the coords of witness(p)'s members, the
         generators' own tuples, in `self.generators` order (a walk meets them
         in falling stage order and builds members from the memoized tail up).
-        One memo, local to the call, maps each cell walked to its members, so
-        a walk stops at the first cell an earlier walk passed and the walks
-        share their tails."""
-        gens = [g.coords for g in self.generators]
-        strides, offsets = self._strides, self._offsets
+        The first-reach indices are decoded once for the whole grid.  One memo,
+        local to the call, maps each cell walked to its members, so a walk
+        stops at the first cell an earlier walk passed and the walks share
+        their tails."""
+        # per first-reach index k: generator k - 1's coords as a 1-tuple and its offset;
+        # k = 0, the origin's, adds nothing
+        steps = [((), 0)] + [((g.coords,), off) for g, off in zip(self.generators, self._offsets)]
+        first = self._first_reach_table()
         memo: dict[int, tuple[tuple[int, ...], ...]] = {0: ()}
-        for c in self._cells():
-            path = []  # (cell, first-reach index) down to a memoized cell
-            i = sum(map(operator.mul, c, strides))
-            while i not in memo:
-                k = self._first_reach(i)
-                path.append((i, k))
-                i -= offsets[k - 1]
-            members = memo[i]
-            for cell, k in reversed(path):
-                members += (gens[k - 1],)
-                memo[cell] = members
+        get = memo.get
+        for i, c in self._cells():
+            g, offset = steps[first[i]]
+            # the cell before i in its walk has a lower index, so iteration
+            # memoized it already, unless it lies below box.lo
+            if (tail := get(i - offset)) is None:
+                path = []  # (cell, its generator) down to a memoized cell
+                j = i - offset
+                while (tail := get(j)) is None:
+                    h, step = steps[first[j]]
+                    path.append((j, h))
+                    j -= step
+                for cell, h in reversed(path):
+                    tail += h
+                    memo[cell] = tail
+            members = memo[i] = tail + g
             yield c, list(members)
 
 
@@ -313,6 +352,13 @@ def _bit(view: bytes, i: int) -> int:
 
 # the set bit positions of each byte value, for iterating a bitset bytewise
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
+_COORDS_OF = operator.itemgetter(1)  # the coordinates of a (cell index, coordinates) pair
+
+
+@cache
+def _spread_bits(width: int) -> list[bytes]:
+    """Per byte value, its 8 bits as 8 little-endian lanes of width bytes."""
+    return [b"".join((b >> t & 1).to_bytes(width, "little") for t in range(8)) for b in range(256)]
 
 
 def bit_levels(bits: int, width: int, off: int, on: int) -> bytes:
@@ -349,7 +395,8 @@ def trm_table(values: Sequence[int], x_max: int, cell_cap: int = DEFAULT_CELL_CA
         raise ValidationError("x_max must be >= 0")
     J = sum(1 for s in accumulate(values) if s <= x_max)
     lift = GeneratorSet(tuple(Point((a, 1)) for a in values))
-    last = dict(fs_enumerate(lift, Box(Point((0, 0)), Point((x_max, J))), cell_cap)._cells())
+    reach = fs_enumerate(lift, Box(Point((0, 0)), Point((x_max, J))), cell_cap)
+    last = dict(map(_COORDS_OF, reach._cells()))
     return [last.get(x, 0) for x in range(x_max + 1)]
 
 

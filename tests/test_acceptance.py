@@ -155,6 +155,21 @@ def test_fs_enumerate_output_is_pinned(capsys, tmp_path):
     assert hashlib.sha256(out).hexdigest() == FS_ENUMERATE_SHA256
 
 
+# sha256 of `fs enumerate` stdout for 20 seeded generators in [0,3]^3 over the
+# box [2,9] x [1,8] x [3,10]: 477 points, whose witnesses walk through cells below lo
+FS_ENUMERATE_3D_SHA256 = "62328e3dfe268bdd5c8e9640230c51b511acd299a3b6eb58c2731f5e556d9e45"
+
+
+def test_fs_enumerate_3d_output_is_pinned(capsys, tmp_path):
+    rng = random.Random(17)
+    cube = [(x, y, z) for x in range(4) for y in range(4) for z in range(4) if x or y or z]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(sorted(rng.sample(cube, 20))))
+    assert main(["fs", "enumerate", "--generators", str(path), "--box", "2,1,3,9,8,10"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == FS_ENUMERATE_3D_SHA256
+
+
 # sha256 of `cone build` stdout: the seed scan and the rays, in a skinny 2D
 # cone (seed box [0, 200]^2) and a small 3D one
 CONE_BUILD_SHA256 = {

@@ -849,6 +849,19 @@ ONE_TUPLE = (1, 2)  # one object, listed in several rows below
         [ONE_TUPLE, ONE_TUPLE, [ONE_TUPLE]],
         # and a tuple that holds a list
         [(1, [2]), ONE_TUPLE, (1, [2])],
+        # int tuples of mixed lengths, which no one template renders
+        [(1, 2), (3,), (4, 5, 6), (1, 2), (7,)],
+        # an empty tuple among int tuples
+        [(), (1,), ()],
+        [(), ()],
+        # a tuple holding True, which %d would write as 1
+        [(1, True), (1, 2)],
+        [(True,), (False,)],
+        # a dict whose list values mix tuples rendered by an earlier value at
+        # the same indent (listed twice there, so kept) with unseen ones, and
+        # hold an empty list
+        {"a": {"x": [ONE_TUPLE, ONE_TUPLE]}, "b": {"x": [ONE_TUPLE, (7, 8)], "y": [], "z": [(7, 8), (9,)]}},
+        {"a": [ONE_TUPLE, (1, True)], "b": (ONE_TUPLE, [1.5]), "c": [[ONE_TUPLE]]},
     ],
 )
 def test_writer_keys_and_memo(value):

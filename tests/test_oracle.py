@@ -225,16 +225,25 @@ def first_reach(hi: tuple[int, ...], gens: list) -> dict:
     return first
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 31, 32, 33])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 31, 32, 33, 255, 256, 257])
 def test_first_reach_decodes_the_gray_planes(n):
-    # g(n) = n ^ (n >> 1) has its high bits set at n = 8 and 32 (binary 1100, 110000)
+    # g(n) = n ^ (n >> 1) has its high bits set at n = 8 and 32 (binary 1100, 110000);
+    # from n = 256 on, the bulk table needs two bytes per index
     rng = random.Random(n)
-    gens = [Point((rng.randint(0, 3), rng.randint(0, 3))) for _ in range(n)]
-    hi = (2 * n, 2 * n)
+    if n < 64:
+        gens = [Point((rng.randint(0, 3), rng.randint(0, 3))) for _ in range(n)]
+        hi = (2 * n, 2 * n)
+    else:  # one row, whose right end every stage moves: stage n reaches a cell
+        gens = [Point((rng.randint(1, 3), 0)) for _ in range(n)]
+        hi = (3 * n, 0)
     reach = ReachableSet(Box(Point((0, 0)), Point(hi)), gens)
     first = first_reach(hi, gens)
+    assert n < 64 or max(first.values()) == n
     assert len(reach._planes) == n.bit_length()
     assert {p.coords: reach._first_reach(reach._index(p)) for p in reach} == first
+    table = reach._first_reach_table()
+    assert table.itemsize == (1 if n < 256 else 2)
+    assert {p.coords: table[reach._index(p)] for p in reach} == first
 
 
 def count_steps(monkeypatch) -> list:
@@ -317,7 +326,7 @@ class TestMembershipSearch:
         assert rep is not None and rep.members == (Point((39, 1)), Point((40, 1)))
 
     def test_shortfall_builds_no_dp(self, monkeypatch):
-        def no_dp(*args):
+        def no_dp(*args, **kwargs):
             raise AssertionError("the DP ran")
 
         monkeypatch.setattr(oracle, "ReachableSet", no_dp)
@@ -489,6 +498,21 @@ class TestReachableSet:
         # 2047 = 1 + 2 + ... + 1024, each power once with second coordinate 1
         assert [m.coords for m in rep.members] == [(1 << i, 1) for i in range(11)]
 
+    def test_reachable_check_runs_one_dp_pass(self, monkeypatch):
+        # the reach pass builds the planes its one witness walks: n steps, not 2n
+        rng = random.Random(3)
+        X = GeneratorSet.of(Point((rng.randint(1, 9), rng.randint(1, 9))) for _ in range(24))
+        target = Point((40, 40))
+        steps = count_steps(monkeypatch)
+        rep = fs_membership(X, target)
+        assert rep is not None and validate_representation(rep)
+        assert rep.members == search(X, target).members
+        fitting = [g for g in X if g.fits_within(target)]
+        assert steps == fitting[::-1]
+        del steps[:]
+        assert fs_membership(X, Point((5, 10))) is None  # unreachable: one pass too
+        assert steps == [g for g in X if g.fits_within(Point((5, 10)))][::-1]
+
     def test_set_without_witnesses_builds_no_planes(self, monkeypatch):
         lo, hi = Point((3, 2)), Point((40, 24))
         steps = count_steps(monkeypatch)
@@ -523,6 +547,19 @@ class TestReachableSet:
             assert members == sorted(m.coords for m in reach.witness(Point(c)).members)
             # the generators' own tuples, not copies
             assert all(id(m) in own for m in members)
+
+    @settings(deadline=None, max_examples=100)
+    @given(padded_cases().filter(lambda case: any(case[0].lo.coords)), st.randoms(use_true_random=False))
+    def test_witnesses_are_witness_for_every_point(self, case, rng):
+        # lo != 0: a walk may pass through reachable cells below lo, which the
+        # set does not hold but the bulk table decodes
+        box, gens = case
+        rng.shuffle(gens)
+        reach = ReachableSet(box, gens)
+        walked = dict(reach.witnesses())
+        assert list(walked) == [p.coords for p in reach]
+        for p in reach:
+            assert sorted(walked[p.coords]) == [m.coords for m in reach.witness(p).members]
 
     @settings(deadline=None, max_examples=60)
     @given(
