@@ -55,18 +55,23 @@ def _json_key(key: object) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
+def _frame(brackets: str, ind: str) -> tuple[str, str, str]:
+    """What a nonempty indented container opens with, joins its items with and
+    closes with; ind is a newline and the indent of the line it opens on."""
+    inner = ind + "  "
+    return brackets[0] + inner, "," + inner, ind + brackets[1]
+
+
 def _wrap(brackets: str, parts: list[str], ind: str) -> str:
-    """One indented container; ind is a newline and the indent of the line it opens on."""
+    """One indented container, as `_frame` lays it out."""
     if not parts:
         return brackets
-    inner = ind + "  "
+    head, sep, tail = _frame(brackets, ind)
     # an f-string copies the joined parts once, where + would copy them twice
-    return f"{brackets[0]}{inner}{(',' + inner).join(parts)}{ind}{brackets[1]}"
+    return f"{head}{sep.join(parts)}{tail}"
 
 
 _INT_ONLY = frozenset({int})
-_STR_ONLY = frozenset({str})
-_CONSTANTS = {None: "null", True: "true", False: "false"}
 _TUPLE_ONLY = frozenset({tuple})
 _ARRAYS = frozenset({list, tuple})
 
@@ -74,10 +79,9 @@ _ARRAYS = frozenset({list, tuple})
 def _json_text(payload: object) -> str:
     """The text of json.dumps(payload, sort_keys=True, indent=2), by joins:
     given an indent, json.dumps leaves its C encoder for a pure-Python one.
-    None and the bools are json's constants; a scalar other than these, an
-    exact int or a str is json.dumps'd alone, which writes it as the indented
-    encoder does.  An array's items are rendered
-    as one batch.  Exact ints are written by repr.  Tuples are rendered once
+    A scalar other than an exact int or a str is json.dumps'd alone, which
+    writes it as the indented encoder does.  An array's items are rendered as
+    one batch.  Exact ints are written by repr.  Tuples are rendered once
     per distinct object and indent, through a memo local to the call keyed by
     identity (witness members are the same few generator tuples over and
     over); when the unseen ones all hold exact ints and have one length, one
@@ -92,18 +96,15 @@ def _json_text(payload: object) -> str:
             return int.__repr__(v)
         if type(v) is str:
             return encode_basestring_ascii(v)
-        if v is None or type(v) is bool:
-            return _CONSTANTS[v]
         if isinstance(v, dict):
             inner = ind + "  "
             order = sorted(v)  # as json's sorted(v.items()): the keys are distinct
             values = list(map(v.__getitem__, order))
-            key = encode_basestring_ascii if _STR_ONLY.issuperset(map(type, v)) else _json_key
-            keys = list(map(key, order))
+            keys = list(map(_json_key, order))
             if values and _ARRAYS.issuperset(map(type, values)):
-                # the values' items in one batch; each value joins its share
+                # the values' items in one batch; each value joins its share in _wrap's frame
                 texts = iter(batch(list(chain.from_iterable(values)), inner + "  "))
-                head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+                head, sep, tail = _frame("[]", inner)
                 parts = [
                     f"{k}: {head}{sep.join(islice(texts, len(x)))}{tail}" if x else k + ": []"
                     for k, x in zip(keys, values)

@@ -8,11 +8,12 @@ only does exhaustive subset search and include-or-not dynamic programming.
 from __future__ import annotations
 
 import operator
+import re
 import sys
 from array import array
 from collections.abc import Set
 from functools import cache, cached_property, reduce
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -220,19 +221,26 @@ class ReachableSet(Set):
     def __iter__(self) -> Iterator[Point]:
         return map(Point, map(_COORDS_OF, self._cells()))
 
-    def _cells(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(cell index, coordinates) of every point, in iteration order."""
-        # walk the bytes: clearing one bit at a time would copy the int per point;
-        # decode each byte's first cell once and step along axis 0 from there
+    def _cells(self, runs: Optional[list[slice]] = None) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(cell index, coordinates) of every point, in iteration order; runs
+        are those of `_runs()`, if the caller has found them already."""
+        # walk the nonzero bytes: clearing one bit at a time would copy the int per
+        # point; decode each byte's first cell once and step along axis 0 from there
         width = self._strides[1]
-        for base, byte in enumerate(self._bytes):
-            if byte:
+        view = self._bytes
+        for run in self._runs() if runs is None else runs:
+            for base, byte in enumerate(view[run], run.start):
                 i = 8 * base
                 first = self._coords(i)
                 x0, rest = first[0], first[1:]
                 for bit in _BYTE_BITS[byte]:
                     x = x0 + bit
                     yield i + bit, (x,) + rest if x < width else self._coords(i + bit)
+
+    def _runs(self) -> Iterator[slice]:
+        """The runs of nonzero reach bytes, in order, as slices; a regex skips
+        the zero bytes between them without a Python step."""
+        return (slice(*m.span()) for m in _NONZERO_RUN.finditer(self._bytes))
 
     def _index(self, p: Point) -> int:
         return sum(map(operator.mul, p.coords, self._strides))
@@ -293,49 +301,55 @@ class ReachableSet(Set):
             i -= self._offsets[k - 1]
         return Representation(tuple(sorted(members, key=COORDS)), p)
 
-    def _first_reach_table(self) -> array:
-        """Every cell's first-reach index, indexed by cell, decoded from the
-        planes at once.  Bit j of k is the XOR of the code's bits j and up, so
-        a running XOR of the planes, most significant first, gives k's bit
-        planes.  Each is spread to one bit per cell lane (a table maps a plane
-        byte to its 8 lanes) and shifted into bit j of every lane.  A lane has
-        as many bytes as k needs, so any generator count decodes."""
+    def _first_reaches(self, runs: list[slice]) -> Iterator[int]:
+        """The first-reach index of every point, in iteration order, decoded in
+        bulk from the planes' bytes in runs, the runs of nonzero reach bytes
+        that `_runs()` finds, only: the work and the memory follow the points,
+        not the padded grid.  Bit j of k is the XOR of the code's bits j and
+        up, so a running XOR of those plane bytes, most significant first,
+        gives k's bit planes.  Each is spread to one bit per cell lane (a table
+        maps a plane byte to its 8 lanes) and shifted into bit j of every lane;
+        a lane has as many bytes as k needs, so any generator count decodes.
+        The reach bytes, spread the same way, then pick the points' lanes."""
         planes = self._planes
         table = next(a for a in map(array, "BHIQ") if a.itemsize * 8 >= len(planes))
         spread = _spread_bits(table.itemsize)
         code = lanes = 0
         for j, plane in zip(range(len(planes) - 1, -1, -1), planes):
-            code ^= int.from_bytes(b"".join(map(spread.__getitem__, plane)), "little")
+            picked = b"".join(map(plane.__getitem__, runs))
+            code ^= int.from_bytes(b"".join(map(spread.__getitem__, picked)), "little")
             lanes |= code << j
-        table.frombytes(lanes.to_bytes(len(self._bytes) * 8 * table.itemsize, "little"))
+        occupied = b"".join(map(self._bytes.__getitem__, runs))
+        table.frombytes(lanes.to_bytes(len(occupied) * 8 * table.itemsize, "little"))
         if sys.byteorder == "big":
             table.byteswap()
-        return table
+        return compress(table, b"".join(map(_spread_bits(1).__getitem__, occupied)))
 
     def witnesses(self) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
         """(coords, members) for every point, in iteration order, on coordinate
         tuples: members lists the coords of witness(p)'s members, the
         generators' own tuples, in `self.generators` order (a walk meets them
         in falling stage order and builds members from the memoized tail up).
-        The first-reach indices are decoded once for the whole grid.  One memo,
-        local to the call, maps each cell walked to its members, so a walk
-        stops at the first cell an earlier walk passed and the walks share
-        their tails."""
+        The points' first-reach indices are decoded in bulk; a walk below
+        box.lo decodes its cells one at a time.  One memo, local to the call,
+        maps each cell walked to its members, so a walk stops at the first cell
+        an earlier walk passed and the walks share their tails."""
         # per first-reach index k: generator k - 1's coords as a 1-tuple and its offset;
         # k = 0, the origin's, adds nothing
         steps = [((), 0)] + [((g.coords,), off) for g, off in zip(self.generators, self._offsets)]
-        first = self._first_reach_table()
         memo: dict[int, tuple[tuple[int, ...], ...]] = {0: ()}
         get = memo.get
-        for i, c in self._cells():
-            g, offset = steps[first[i]]
+        runs = list(self._runs())
+        for (i, c), k in zip(self._cells(runs), self._first_reaches(runs)):
+            g, offset = steps[k]
             # the cell before i in its walk has a lower index, so iteration
-            # memoized it already, unless it lies below box.lo
+            # memoized it already, unless it lies below box.lo; then so do the
+            # walk's later cells, in no reach byte, so each is decoded alone
             if (tail := get(i - offset)) is None:
                 path = []  # (cell, its generator) down to a memoized cell
                 j = i - offset
                 while (tail := get(j)) is None:
-                    h, step = steps[first[j]]
+                    h, step = steps[self._first_reach(j)]
                     path.append((j, h))
                     j -= step
                 for cell, h in reversed(path):
@@ -352,6 +366,7 @@ def _bit(view: bytes, i: int) -> int:
 
 # the set bit positions of each byte value, for iterating a bitset bytewise
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
+_NONZERO_RUN = re.compile(rb"[^\x00]+")
 _COORDS_OF = operator.itemgetter(1)  # the coordinates of a (cell index, coordinates) pair
 
 

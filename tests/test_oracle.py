@@ -228,7 +228,7 @@ def first_reach(hi: tuple[int, ...], gens: list) -> dict:
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 31, 32, 33, 255, 256, 257])
 def test_first_reach_decodes_the_gray_planes(n):
     # g(n) = n ^ (n >> 1) has its high bits set at n = 8 and 32 (binary 1100, 110000);
-    # from n = 256 on, the bulk table needs two bytes per index
+    # from n = 256 on, the bulk decode needs two bytes per index
     rng = random.Random(n)
     if n < 64:
         gens = [Point((rng.randint(0, 3), rng.randint(0, 3))) for _ in range(n)]
@@ -241,9 +241,7 @@ def test_first_reach_decodes_the_gray_planes(n):
     assert n < 64 or max(first.values()) == n
     assert len(reach._planes) == n.bit_length()
     assert {p.coords: reach._first_reach(reach._index(p)) for p in reach} == first
-    table = reach._first_reach_table()
-    assert table.itemsize == (1 if n < 256 else 2)
-    assert {p.coords: table[reach._index(p)] for p in reach} == first
+    assert dict(zip((p.coords for p in reach), reach._first_reaches(list(reach._runs())))) == first
 
 
 def count_steps(monkeypatch) -> list:
@@ -498,6 +496,21 @@ class TestReachableSet:
         # 2047 = 1 + 2 + ... + 1024, each power once with second coordinate 1
         assert [m.coords for m in rep.members] == [(1 << i, 1) for i in range(11)]
 
+    def test_witnesses_memory_follows_the_points(self):
+        # 683 points in a 2048 x 2048 box: a decode of every padded cell's
+        # first-reach index would take at least a byte per cell, 8 MB here
+        gens = GeneratorSet.of(Point((1 << i, 3 << i)) for i in range(10))
+        reach = fs_enumerate(gens, Box(Point((0, 0)), Point((2047, 2047))))
+        reach._planes  # built before the measurement
+        tracemalloc.start()
+        try:
+            walked = list(reach.witnesses())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(walked) == len(reach) == 683
+        assert peak < 1_000_000
+
     def test_reachable_check_runs_one_dp_pass(self, monkeypatch):
         # the reach pass builds the planes its one witness walks: n steps, not 2n
         rng = random.Random(3)
@@ -552,7 +565,7 @@ class TestReachableSet:
     @given(padded_cases().filter(lambda case: any(case[0].lo.coords)), st.randoms(use_true_random=False))
     def test_witnesses_are_witness_for_every_point(self, case, rng):
         # lo != 0: a walk may pass through reachable cells below lo, which the
-        # set does not hold but the bulk table decodes
+        # set does not hold and the walk decodes one at a time
         box, gens = case
         rng.shuffle(gens)
         reach = ReachableSet(box, gens)
