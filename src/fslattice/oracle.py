@@ -13,7 +13,7 @@ import sys
 from array import array
 from collections.abc import Set
 from functools import cache, cached_property, reduce
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -33,16 +33,12 @@ from .core import (
 def fs_membership(
     X: GeneratorSet, target: Point, cell_cap: int = DEFAULT_CELL_CAP
 ) -> Optional[Representation]:
-    """Decide target in FS(X), with the witness an exclude-first search finds.
+    """Decide target in FS(X), with the witness `ReachableSet` fixes.
 
-    That search tries generators in canonical order and excludes each before
-    including it.  Within the cap, one include-or-not DP over [0, target] adds
-    the generators in reverse canonical order, so after j of them its set is
-    FS(gens[n-j:]).  The search skips generator i exactly while the remainder
-    is still in FS(gens[i+1:]), so it includes the generator whose stage first
-    reached the remainder: the one `ReachableSet.witness` takes.  That one DP
+    Within the cap, one include-or-not DP over [0, target] decides it, and that
     pass also builds the witness planes.  A target box beyond the cap goes to
-    the search itself, bounded by cell_cap nodes.
+    the exclude-first search, bounded by cell_cap nodes, which finds the same
+    witness.
     """
     if len(X) and X.dim != target.dim:
         raise ValidationError("generator/target dimension mismatch")
@@ -54,7 +50,7 @@ def fs_membership(
         return None
     if _cells(target) > cell_cap:
         return _search_membership(gens, target, cell_cap)
-    reach = ReachableSet(Box(Point.zero(target.dim), target), gens[::-1], planes=True)
+    reach = ReachableSet(Box(Point.zero(target.dim), target), gens, planes=True)
     return reach.witness(target) if target in reach else None
 
 
@@ -133,22 +129,32 @@ class ReachableSet(Set):
     """FS(generators) in a box, a read-only set of Points: one bytes object
     holds a bit per cell of a padded grid over [0, box.hi] (axis 0 fastest),
     set exactly for the reachable cells of the box.  Points are built only
-    while iterating.  The generators are added in the order given.  Witnesses
-    come from each cell's first-reach index k (the cell was first reached by
-    including generator k - 1; 0 for the origin), kept bit-sliced as its Gray
-    code g(k) = k ^ (k >> 1): bit j of g(k) is the cell's bit of plane j, in
-    one bytes object per plane.  Consecutive codes differ in one bit, so each
-    DP step costs the planes one XOR.  The constructor runs the DP once; with
-    planes=True that pass also builds the planes, and otherwise it keeps only
-    the reach bitset and the first `witness` or `witnesses` call runs the DP
-    again to build them.  Only the generators that fit under box.hi are kept:
+    while iterating.
+
+    The witness rule: the generators are added in reverse canonical order,
+    whatever order they are given in.  A point's witness takes the generator
+    whose stage first reached it, steps back by it and repeats to the origin,
+    so it depends only on the generator set and the point and lists its
+    members in canonical order.  It is the lexicographically first include
+    vector, which `_search_membership` finds: that search skips generator i
+    exactly while the remainder is in FS of the generators after it.
+
+    Witnesses come from each cell's first-reach index k (the cell was first
+    reached by including generator k - 1; 0 for the origin), kept bit-sliced as
+    its Gray code g(k) = k ^ (k >> 1): bit j of g(k) is the cell's bit of plane
+    j, in one bytes object per plane.  Consecutive codes differ in one bit, so
+    each DP step costs the planes one XOR.  The constructor runs the DP once;
+    with planes=True that pass also builds the planes, and otherwise it keeps
+    only the reach bitset and the first `witness` or `witnesses` call runs the
+    DP again to build them.  Only the generators that fit under box.hi are kept:
     no sum in the box uses the others.
     """
 
     def __init__(self, box: Box, generators: Iterable[Point], *, planes: bool = False):
         self.box = box
         hi = box.hi.coords
-        self.generators = tuple(g for g in generators if all(map(operator.le, g.coords, hi)))
+        fits = (g for g in generators if all(map(operator.le, g.coords, hi)))
+        self.generators = tuple(sorted(fits, key=COORDS, reverse=True))
         # every axis but the last is padded by the largest coordinate on it of a
         # generator, so q + g stays inside q's block whenever q <= hi: a shift
         # never carries a cell into the next block
@@ -222,13 +228,13 @@ class ReachableSet(Set):
         return map(Point, map(_COORDS_OF, self._cells()))
 
     def _cells(self, runs: Optional[list[slice]] = None) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(cell index, coordinates) of every point, in iteration order; runs
-        are those of `_runs()`, if the caller has found them already."""
+        """(cell index, coordinates) of every point, in iteration order, or of
+        the points in runs, runs of nonzero reach bytes as slices."""
         # walk the nonzero bytes: clearing one bit at a time would copy the int per
         # point; decode each byte's first cell once and step along axis 0 from there
         width = self._strides[1]
         view = self._bytes
-        for run in self._runs() if runs is None else runs:
+        for run in chain.from_iterable(self._chunks()) if runs is None else runs:
             for base, byte in enumerate(view[run], run.start):
                 i = 8 * base
                 first = self._coords(i)
@@ -237,10 +243,14 @@ class ReachableSet(Set):
                     x = x0 + bit
                     yield i + bit, (x,) + rest if x < width else self._coords(i + bit)
 
-    def _runs(self) -> Iterator[slice]:
-        """The runs of nonzero reach bytes, in order, as slices; a regex skips
-        the zero bytes between them without a Python step."""
-        return (slice(*m.span()) for m in _NONZERO_RUN.finditer(self._bytes))
+    def _chunks(self) -> Iterator[list[slice]]:
+        """The runs of nonzero reach bytes as slices, in order, a list per
+        window of _DECODE_BYTES bytes (a run crossing a window's end is split
+        there); a regex skips the zero bytes between runs."""
+        view = self._bytes
+        for start in range(0, len(view), _DECODE_BYTES):
+            found = _NONZERO_RUN.finditer(view, start, start + _DECODE_BYTES)
+            yield [slice(*m.span()) for m in found]
 
     def _index(self, p: Point) -> int:
         return sum(map(operator.mul, p.coords, self._strides))
@@ -288,8 +298,8 @@ class ReachableSet(Set):
         return k
 
     def witness(self, p: Point) -> Representation:
-        """One representation of a reachable point: include the generator that
-        first reached the cell, step back by its offset, and repeat to the origin.
+        """The witness of a reachable point, by the walk of the class docstring:
+        stages fall along it, so it meets the members in canonical order.
         Unless the set was built with planes=True, the first call of this or of
         `witnesses` builds the planes (a second DP pass)."""
         if p not in self:
@@ -299,18 +309,18 @@ class ReachableSet(Set):
         while k := self._first_reach(i):
             members.append(self.generators[k - 1])
             i -= self._offsets[k - 1]
-        return Representation(tuple(sorted(members, key=COORDS)), p)
+        return Representation(tuple(members), p)
 
     def _first_reaches(self, runs: list[slice]) -> Iterator[int]:
         """The first-reach index of every point, in iteration order, decoded in
-        bulk from the planes' bytes in runs, the runs of nonzero reach bytes
-        that `_runs()` finds, only: the work and the memory follow the points,
-        not the padded grid.  Bit j of k is the XOR of the code's bits j and
-        up, so a running XOR of those plane bytes, most significant first,
-        gives k's bit planes.  Each is spread to one bit per cell lane (a table
-        maps a plane byte to its 8 lanes) and shifted into bit j of every lane;
-        a lane has as many bytes as k needs, so any generator count decodes.
-        The reach bytes, spread the same way, then pick the points' lanes."""
+        bulk from the planes' bytes in runs, a chunk of `_chunks()`, only: the
+        work and the memory follow the points, not the padded grid.  Bit j of k
+        is the XOR of the code's bits j and up, so a running XOR of those plane
+        bytes, most significant first, gives k's bit planes.  Each is spread to
+        one bit per cell lane (a table maps a plane byte to its 8 lanes) and
+        shifted into bit j of every lane; a lane has as many bytes as k needs,
+        so any generator count decodes.  The reach bytes, spread the same way,
+        then pick the points' lanes."""
         planes = self._planes
         table = next(a for a in map(array, "BHIQ") if a.itemsize * 8 >= len(planes))
         spread = _spread_bits(table.itemsize)
@@ -327,10 +337,11 @@ class ReachableSet(Set):
 
     def witnesses(self) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
         """(coords, members) for every point, in iteration order, on coordinate
-        tuples: members lists the coords of witness(p)'s members, the
-        generators' own tuples, in `self.generators` order (a walk meets them
-        in falling stage order and builds members from the memoized tail up).
-        The points' first-reach indices are decoded in bulk; a walk below
+        tuples: members lists the coords of witness(p)'s members in the same
+        order, the generators' own tuples.  Each member list is the cell's
+        generator followed by the memoized list of the cell it steps back to.
+        The points' first-reach indices are decoded in bulk, one chunk of
+        `_chunks()` at a time, so a decode's memory is bounded; a walk below
         box.lo decodes its cells one at a time.  One memo, local to the call,
         maps each cell walked to its members, so a walk stops at the first cell
         an earlier walk passed and the walks share their tails."""
@@ -339,24 +350,24 @@ class ReachableSet(Set):
         steps = [((), 0)] + [((g.coords,), off) for g, off in zip(self.generators, self._offsets)]
         memo: dict[int, tuple[tuple[int, ...], ...]] = {0: ()}
         get = memo.get
-        runs = list(self._runs())
-        for (i, c), k in zip(self._cells(runs), self._first_reaches(runs)):
-            g, offset = steps[k]
-            # the cell before i in its walk has a lower index, so iteration
-            # memoized it already, unless it lies below box.lo; then so do the
-            # walk's later cells, in no reach byte, so each is decoded alone
-            if (tail := get(i - offset)) is None:
-                path = []  # (cell, its generator) down to a memoized cell
-                j = i - offset
-                while (tail := get(j)) is None:
-                    h, step = steps[self._first_reach(j)]
-                    path.append((j, h))
-                    j -= step
-                for cell, h in reversed(path):
-                    tail += h
-                    memo[cell] = tail
-            members = memo[i] = tail + g
-            yield c, list(members)
+        for runs in self._chunks():
+            for (i, c), k in zip(self._cells(runs), self._first_reaches(runs)):
+                g, offset = steps[k]
+                # the cell before i in its walk has a lower index, so iteration
+                # memoized it already, unless it lies below box.lo; then so do the
+                # walk's later cells, in no reach byte, so each is decoded alone
+                if (tail := get(i - offset)) is None:
+                    path = []  # (cell, its generator) down to a memoized cell
+                    j = i - offset
+                    while (tail := get(j)) is None:
+                        h, step = steps[self._first_reach(j)]
+                        path.append((j, h))
+                        j -= step
+                    for cell, h in reversed(path):
+                        tail = h + tail
+                        memo[cell] = tail
+                members = memo[i] = g + tail
+                yield c, list(members)
 
 
 def _bit(view: bytes, i: int) -> int:
@@ -367,6 +378,7 @@ def _bit(view: bytes, i: int) -> int:
 # the set bit positions of each byte value, for iterating a bitset bytewise
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
 _NONZERO_RUN = re.compile(rb"[^\x00]+")
+_DECODE_BYTES = 1 << 14  # the reach bytes whose first-reach indices one bulk decode takes
 _COORDS_OF = operator.itemgetter(1)  # the coordinates of a (cell index, coordinates) pair
 
 

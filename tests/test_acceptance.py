@@ -8,13 +8,14 @@ per-criterion runtime limits.
 import hashlib
 import json
 import random
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from fslattice import cone, dyadic, oracle, selftest
 from fslattice.cli import main
-from fslattice.core import Point, validate_representation
+from fslattice.core import GeneratorSet, Point, validate_representation
 from fslattice.selftest import CRITERIA, payload_of, run_criteria, run_criterion
 
 _IDS = [f"{cid:02d}-{name.replace(' ', '-')}" for cid, name, _ in CRITERIA]
@@ -140,9 +141,29 @@ def test_dense_square_output_is_pinned(capsys):
     assert hashlib.sha256(out).hexdigest() == DENSE_SQUARE_SHA256
 
 
+def search_payload(generators: list, lo: tuple, hi: tuple) -> str:
+    """`fs enumerate` stdout rebuilt from the exclude-first search alone: every
+    cell of the box it reaches, with the search's witness."""
+    X = GeneratorSet.of(map(Point, generators))
+    points, witnesses = [], {}
+    for c in product(*(range(l, h + 1) for l, h in zip(lo, hi))):  # in sorted order
+        target = Point(c)
+        rep = oracle._search_membership([g for g in X if g.fits_within(target)], target, 10**6)
+        if rep is not None:
+            points.append(c)
+            witnesses[str(target)] = [m.coords for m in rep.members]
+    payload = {
+        "box": {"lo": list(lo), "hi": list(hi)},
+        "count": len(points),
+        "points": points,
+        "witnesses": witnesses,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 # sha256 of `fs enumerate` stdout for 24 seeded generators in [1,9]^2 over the
 # box [0,30]^2: 664 points, each with its witness
-FS_ENUMERATE_SHA256 = "4f3ae0d0deb1fbaf77fd6aa1298f2df72a89871dd8db730b0a9da4a9fdc45efc"
+FS_ENUMERATE_SHA256 = "385ec70b9100136a8c107eb5e053cab54f58a4be2f6e3c30de48ecdb036a3ada"
 
 
 def test_fs_enumerate_output_is_pinned(capsys, tmp_path):
@@ -151,23 +172,26 @@ def test_fs_enumerate_output_is_pinned(capsys, tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(generators))
     assert main(["fs", "enumerate", "--generators", str(path), "--box", "0,0,30,30"]) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == FS_ENUMERATE_SHA256
+    out = capsys.readouterr().out
+    assert out == search_payload(generators, (0, 0), (30, 30))
+    assert hashlib.sha256(out.encode()).hexdigest() == FS_ENUMERATE_SHA256
 
 
 # sha256 of `fs enumerate` stdout for 20 seeded generators in [0,3]^3 over the
 # box [2,9] x [1,8] x [3,10]: 477 points, whose witnesses walk through cells below lo
-FS_ENUMERATE_3D_SHA256 = "62328e3dfe268bdd5c8e9640230c51b511acd299a3b6eb58c2731f5e556d9e45"
+FS_ENUMERATE_3D_SHA256 = "f8b45ab3414e1db8770965a32637aae36c893475311fa6a5050f0740feac7cfa"
 
 
 def test_fs_enumerate_3d_output_is_pinned(capsys, tmp_path):
     rng = random.Random(17)
     cube = [(x, y, z) for x in range(4) for y in range(4) for z in range(4) if x or y or z]
+    generators = sorted(rng.sample(cube, 20))
     path = tmp_path / "g.json"
-    path.write_text(json.dumps(sorted(rng.sample(cube, 20))))
+    path.write_text(json.dumps(generators))
     assert main(["fs", "enumerate", "--generators", str(path), "--box", "2,1,3,9,8,10"]) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == FS_ENUMERATE_3D_SHA256
+    out = capsys.readouterr().out
+    assert out == search_payload(generators, (2, 1, 3), (9, 8, 10))
+    assert hashlib.sha256(out.encode()).hexdigest() == FS_ENUMERATE_3D_SHA256
 
 
 # sha256 of `cone build` stdout: the seed scan and the rays, in a skinny 2D

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -85,8 +86,29 @@ class TestFs:
         # 16 subsets; (1,1,1) is both a generator and the sum of the three units
         assert payload["count"] == len(payload["points"]) == 15
         assert [2, 2, 2] in payload["points"]
-        assert payload["witnesses"]["(1,1,1)"] == [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+        # the search excludes (0,0,1) first, so it takes (1,1,1) alone
+        assert payload["witnesses"]["(1,1,1)"] == [[1, 1, 1]]
         assert payload["witnesses"]["(2,2,2)"] == [[0, 0, 1], [0, 1, 0], [1, 0, 0], [1, 1, 1]]
+
+    @pytest.mark.parametrize(
+        "seed, cube, count, box",
+        [
+            (5, [(x, y) for x in range(6) for y in range(6) if x or y], 10, "0,0,14,14"),
+            # lo != 0: every walk passes cells below lo, which the walk decodes one at a time
+            (11, list(itertools.product(range(4), repeat=3))[1:], 12, "2,1,3,7,6,8"),
+        ],
+    )
+    def test_check_and_enumerate_give_the_same_witness(self, capsys, tmp_path, seed, cube, count, box):
+        gens = write_json(tmp_path / "g.json", random.Random(seed).sample(cube, count))
+        code, out, _ = run(capsys, ["fs", "enumerate", "--generators", gens, "--box", box])
+        assert code == 0
+        witnesses = json.loads(out)["witnesses"]
+        assert len(witnesses) > 50
+        for point, members in witnesses.items():
+            argv = ["fs", "check", "--generators", gens, "--target", point[1:-1]]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            assert json.loads(out)["representation"]["members"] == members
 
 
 class TestCone:

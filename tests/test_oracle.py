@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 import operator
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import prod
 
 import pytest
@@ -192,8 +192,8 @@ def sets_and_boxes(draw, max_dim: int = 4):
 
 @st.composite
 def padded_cases(draw):
-    """A box in 1 to 4 dimensions and nonzero generators in the order the DP
-    adds them: some with a coordinate at hi (the widest pad), at most one past hi."""
+    """A box in 1 to 4 dimensions and nonzero generators in a drawn order:
+    some with a coordinate at hi (the widest pad), at most one past hi."""
     dim = draw(st.integers(min_value=1, max_value=4))
     bound = {1: 12, 2: 6, 3: 3, 4: 2}[dim]
     hi = draw(_coords(dim, bound))
@@ -237,11 +237,12 @@ def test_first_reach_decodes_the_gray_planes(n):
         gens = [Point((rng.randint(1, 3), 0)) for _ in range(n)]
         hi = (3 * n, 0)
     reach = ReachableSet(Box(Point((0, 0)), Point(hi)), gens)
-    first = first_reach(hi, gens)
+    first = first_reach(hi, sorted(gens, reverse=True))  # the DP's order
     assert n < 64 or max(first.values()) == n
     assert len(reach._planes) == n.bit_length()
     assert {p.coords: reach._first_reach(reach._index(p)) for p in reach} == first
-    assert dict(zip((p.coords for p in reach), reach._first_reaches(list(reach._runs())))) == first
+    decoded = chain.from_iterable(map(reach._first_reaches, reach._chunks()))
+    assert dict(zip((p.coords for p in reach), decoded)) == first
 
 
 def count_steps(monkeypatch) -> list:
@@ -385,19 +386,21 @@ class TestReachableSet:
     def test_witness_is_the_stage_walk(self, case):
         X, box = case
         reach = fs_enumerate(X, box)
-        # stage k: the sums of the first k canonical generators inside [0, hi]
+        # stage k: the sums of the last k canonical generators inside [0, hi]
         full = Box(Point.zero(box.dim), box.hi)
-        stages = [fs_enumerate(GeneratorSet(X.elements[:k]), full) for k in range(len(X))]
+        n = len(X)
+        stages = [fs_enumerate(GeneratorSet(X.elements[n - k :]), full) for k in range(n)]
         for p in reach:
-            # walk back from the last generator, taking one exactly when the
-            # remainder is missing from the stage before it
+            # walk from the first canonical generator, the last one added, taking
+            # one exactly when the remainder is missing from the stage before it
             members, rest = [], p.coords
-            for k in range(len(X) - 1, -1, -1):
+            for k in range(n - 1, -1, -1):
+                g = X.elements[n - 1 - k]
                 if Point(rest) not in stages[k]:
-                    members.append(X.elements[k])
-                    rest = tuple(a - b for a, b in zip(rest, X.elements[k].coords))
+                    members.append(g)
+                    rest = tuple(a - b for a, b in zip(rest, g.coords))
             assert not any(rest)
-            assert reach.witness(p).members == tuple(sorted(members))
+            assert reach.witness(p).members == tuple(members)
 
     def test_points_behave_as_a_read_only_set(self):
         X = GeneratorSet.of([Point((1, 0)), Point((0, 1)), Point((2, 2))])
@@ -430,28 +433,29 @@ class TestReachableSet:
                 [(1, 2), (2, 1), (3, 3), (1, 1), (2, 2)],
                 (6, 6),
                 {
-                    (3, 3): [(1, 2), (2, 1)],
-                    (4, 4): [(1, 1), (1, 2), (2, 1)],
-                    (5, 5): [(1, 2), (2, 1), (2, 2)],
-                    (6, 6): [(1, 1), (1, 2), (2, 1), (2, 2)],
+                    (3, 3): [(3, 3)],
+                    (4, 4): [(1, 1), (3, 3)],
+                    (5, 5): [(2, 2), (3, 3)],
+                    (6, 6): [(1, 2), (2, 1), (3, 3)],
                     (3, 4): [(1, 2), (2, 2)],
-                    (5, 4): [(1, 1), (2, 1), (2, 2)],
+                    (5, 4): [(2, 1), (3, 3)],
                 },
             ),
             (
                 [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1), (2, 1, 1)],
                 (4, 4, 4),
                 {
-                    (2, 2, 2): [(0, 1, 1), (1, 0, 1), (1, 1, 0)],
-                    (3, 3, 3): [(0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)],
+                    (2, 2, 2): [(0, 1, 1), (2, 1, 1)],
+                    (3, 3, 3): [(0, 1, 1), (1, 1, 1), (2, 1, 1)],
                     (4, 3, 3): [(0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 1, 1)],
-                    (3, 2, 2): [(1, 0, 1), (1, 1, 0), (1, 1, 1)],
-                    (2, 1, 1): [(1, 0, 1), (1, 1, 0)],
+                    (3, 2, 2): [(1, 1, 1), (2, 1, 1)],
+                    (2, 1, 1): [(2, 1, 1)],
                 },
             ),
         ],
     )
     def test_pinned_witnesses(self, generators, hi, pinned):
+        # each pin is the first include vector in lexicographic order, by brute force
         X = GeneratorSet.of(Point(t) for t in generators)
         reach = fs_enumerate(X, Box(Point.zero(len(hi)), Point(hi)))
         for target, members in pinned.items():
@@ -538,15 +542,14 @@ class TestReachableSet:
 
     @settings(deadline=None, max_examples=60)
     @given(sets_and_boxes(), st.randoms(use_true_random=False))
-    def test_witnesses_come_in_generator_order(self, case, rng):
+    def test_witnesses_come_in_canonical_order(self, case, rng):
         X, box = case
         gens = list(X)
         rng.shuffle(gens)
         reach = ReachableSet(box, gens)
-        order = {g.coords: j for j, g in enumerate(gens)}
         for c, members in reach.witnesses():
-            assert [order[m] for m in members] == sorted(order[m] for m in members)
-            assert sorted(members) == [m.coords for m in reach.witness(Point(c)).members]
+            assert members == sorted(members)
+            assert members == [m.coords for m in reach.witness(Point(c)).members]
 
     @settings(deadline=None, max_examples=60)
     @given(sets_and_boxes())
@@ -557,7 +560,7 @@ class TestReachableSet:
         assert [Point(c) for c, _ in pairs] == list(reach)
         own = {id(g.coords) for g in reach.generators}
         for c, members in pairs:
-            assert members == sorted(m.coords for m in reach.witness(Point(c)).members)
+            assert members == [m.coords for m in reach.witness(Point(c)).members]
             # the generators' own tuples, not copies
             assert all(id(m) in own for m in members)
 
@@ -572,7 +575,56 @@ class TestReachableSet:
         walked = dict(reach.witnesses())
         assert list(walked) == [p.coords for p in reach]
         for p in reach:
-            assert sorted(walked[p.coords]) == [m.coords for m in reach.witness(p).members]
+            assert walked[p.coords] == [m.coords for m in reach.witness(p).members]
+
+    @settings(deadline=None, max_examples=80)
+    @given(padded_cases(), st.randoms(use_true_random=False))
+    def test_set_is_the_same_for_any_generator_order(self, case, rng):
+        box, gens = case
+        shuffled = rng.sample(gens, len(gens))
+        one, other = ReachableSet(box, gens), ReachableSet(box, shuffled)
+        assert list(one) == list(other) and len(one) == len(other)
+        if box.dim <= 2:
+            hy = box.hi.coords[1] if box.dim == 2 else 0
+            assert [one.row(y) for y in range(hy + 1)] == [other.row(y) for y in range(hy + 1)]
+        assert list(one.witnesses()) == list(other.witnesses())
+
+    @settings(deadline=None, max_examples=100)
+    @given(sets_and_boxes().filter(lambda case: any(case[1].lo.coords)))
+    def test_every_witness_is_the_search_witness(self, case):
+        X, box = case
+        for c, members in fs_enumerate(X, box).witnesses():
+            target = Point(c)
+            rep, ref = fs_membership(X, target), search(X, target)
+            assert members == sorted(members)  # canonical order
+            assert members == [m.coords for m in rep.members] == [m.coords for m in ref.members]
+
+    def test_first_witness_decodes_one_chunk(self):
+        # 4.2M points: a decode of all of them before the first yield peaked at 65 MB,
+        # one chunk of 16 KiB of reach bytes at about 1.3 MB
+        hi = Point((2047, 2047))
+        reach = ReachableSet(Box(Point((1, 1)), hi), dyadic.dyadic_generators(hi), planes=True)
+        tracemalloc.start()
+        try:
+            first = next(reach.witnesses())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == ((1, 1), [(1, 1)])
+        assert peak < 8_000_000
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_chunks_split_long_runs_without_changing_the_walk(self, monkeypatch, chunk):
+        # a dense 1D set has no padding, so its reach bytes are one run
+        line = ReachableSet(Box(Point((5,)), Point((3000,))), [Point((v,)) for v in range(1, 80)])
+        plane = ReachableSet(
+            Box(Point((3, 2)), Point((90, 70))), [Point((x, y)) for x in range(1, 9) for y in range(5)]
+        )
+        whole = [list(reach.witnesses()) for reach in (line, plane)]
+        assert len(line._bytes) > 64 and next(line._chunks()) == [slice(0, len(line._bytes))]
+        monkeypatch.setattr(oracle, "_DECODE_BYTES", chunk)
+        assert [list(reach.witnesses()) for reach in (line, plane)] == whole
+        assert all(run.stop - run.start <= chunk for runs in line._chunks() for run in runs)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -595,7 +647,8 @@ class TestReachableSet:
     def test_padded_layout_is_the_brute_force_set(self, case):
         box, gens = case
         reach = ReachableSet(box, gens)
-        first = first_reach(box.hi.coords, gens)
+        order = sorted(gens, reverse=True)  # the DP's order
+        first = first_reach(box.hi.coords, order)
         expected = sorted((q for q in first if box.contains(Point(q))), key=lambda q: q[::-1])
         assert [p.coords for p in reach] == expected  # axis 0 fastest
         assert len(reach) == len(expected)
@@ -605,9 +658,9 @@ class TestReachableSet:
         for q in expected:
             members, cell = [], q
             while k := first[cell]:
-                members.append(gens[k - 1].coords)
-                cell = tuple(map(operator.sub, cell, gens[k - 1].coords))
-            assert [m.coords for m in reach.witness(Point(q)).members] == sorted(members)
+                members.append(order[k - 1].coords)
+                cell = tuple(map(operator.sub, cell, order[k - 1].coords))
+            assert [m.coords for m in reach.witness(Point(q)).members] == members
         cells = prod(h + 1 for h in box.hi.coords)
         assert len(reach._bytes) * 8 <= 2 ** (box.dim - 1) * cells + 8
         if box.dim == 2:
