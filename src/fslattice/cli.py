@@ -11,8 +11,6 @@ import functools
 import json
 import os
 import sys
-from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,105 +44,42 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _json_key(key: object) -> str:
-    """A dict key as json writes it: None, a bool, an int or a float as its quoted JSON text."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):
-        return '"' + json.dumps(key) + '"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
-def _frame(brackets: str, ind: str) -> tuple[str, str, str]:
-    """What a nonempty indented container opens with, joins its items with and
-    closes with; ind is a newline and the indent of the line it opens on."""
-    inner = ind + "  "
-    return brackets[0] + inner, "," + inner, ind + brackets[1]
-
-
-def _wrap(brackets: str, parts: list[str], ind: str) -> str:
-    """One indented container, as `_frame` lays it out."""
-    if not parts:
-        return brackets
-    head, sep, tail = _frame(brackets, ind)
-    # an f-string copies the joined parts once, where + would copy them twice
-    return f"{head}{sep.join(parts)}{tail}"
-
-
-_INT_ONLY = frozenset({int})
-_TUPLE_ONLY = frozenset({tuple})
-_ARRAYS = frozenset({list, tuple})
-
-
-def _json_text(payload: object) -> str:
-    """The text of json.dumps(payload, sort_keys=True, indent=2), by joins:
-    given an indent, json.dumps leaves its C encoder for a pure-Python one.
-    A scalar other than an exact int or a str is json.dumps'd alone, which
-    writes it as the indented encoder does.  An array's items are rendered as
-    one batch.  Exact ints are written by repr.  Tuples are rendered once
-    per distinct object and indent, through a memo local to the call keyed by
-    identity (witness members are the same few generator tuples over and
-    over); when the unseen ones all hold exact ints and have one length, one
-    %d template per (indent, length) renders them.  A dict whose values are
-    all arrays renders their items as one batch and joins each value in its
-    own comprehension.  The memo's tuples are the payload's, alive for the
-    whole call, so no id is reused."""
-    memo: dict[str, dict[int, str]] = {}  # indent -> id of a tuple -> text
-
-    def render(v: object, ind: str) -> str:
-        if type(v) is int:
-            return int.__repr__(v)
-        if type(v) is str:
-            return encode_basestring_ascii(v)
-        if isinstance(v, dict):
-            inner = ind + "  "
-            order = sorted(v)  # as json's sorted(v.items()): the keys are distinct
-            values = list(map(v.__getitem__, order))
-            keys = list(map(_json_key, order))
-            if values and _ARRAYS.issuperset(map(type, values)):
-                # the values' items in one batch; each value joins its share in _wrap's frame
-                texts = iter(batch(list(chain.from_iterable(values)), inner + "  "))
-                head, sep, tail = _frame("[]", inner)
-                parts = [
-                    f"{k}: {head}{sep.join(islice(texts, len(x)))}{tail}" if x else k + ": []"
-                    for k, x in zip(keys, values)
-                ]
-            else:
-                parts = [k + ": " + render(x, inner) for k, x in zip(keys, values)]
-            return _wrap("{}", parts, ind)
-        if not isinstance(v, (list, tuple)):
-            return json.dumps(v)
-        return _wrap("[]", batch(v, ind + "  "), ind)
-
-    def batch(v: Sequence[object], ind: str) -> list[str]:
-        """The texts of the items v, each opening a line at indent ind."""
-        if _INT_ONLY.issuperset(map(type, v)):
-            return list(map(int.__repr__, v))
-        if not _TUPLE_ONLY.issuperset(map(type, v)):
-            return [render(x, ind) for x in v]
-        texts = memo.setdefault(ind, {})
-        ids = list(map(id, v))
-        objects = dict(zip(ids, v))  # each distinct tuple once
-        unseen = [objects[key] for key in objects.keys() - texts.keys()]
-        lengths = set(map(len, unseen))
-        if len(lengths) == 1 and _INT_ONLY.issuperset(map(type, chain.from_iterable(unseen))):
-            template = _wrap("[]", ["%d"] * lengths.pop(), ind)  # "[]" for ()
-            if len(unseen) == len(ids):  # no tuple repeats or was seen: nothing to reuse
-                return list(map(template.__mod__, v))
-            texts.update(zip(map(id, unseen), map(template.__mod__, unseen)))
-        else:
-            texts.update([(id(x), render(x, ind)) for x in unseen])
-        return list(map(texts.__getitem__, ids))
-
-    return render(payload, "\n")
-
-
-def _emit(payload: dict, out: Optional[str]) -> None:
-    text = _json_text(payload) + "\n"
+def _write(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload: dict, out: Optional[str]) -> None:
+    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+
+
+def _enumerate_text(head: dict, walk: dict, generators: Sequence[tuple[int, ...]]) -> str:
+    """The text `_emit` writes for head plus "points", walk's sorted keys, and
+    "witnesses", walk's member lists keyed by str(Point(c)).  Those two keys
+    sort after head's ("box", "count", "heatmap"), so json.dumps writes head
+    and one %d template per tuple shape writes the two arrays; the members are
+    generators' tuples, each rendered once."""
+    dim = len(head["box"]["lo"])
+
+    def array(parts: list[str], ind: str, brackets: str = "[]") -> str:
+        """An indented JSON container of item texts, opening on a line at indent ind."""
+        if not parts:
+            return brackets
+        return f"{brackets[0]}\n{ind}  " + f",\n{ind}  ".join(parts) + f"\n{ind}{brackets[1]}"
+
+    point = array(["%d"] * dim, "    ")
+    member = dict(zip(generators, map(array(["%d"] * dim, "      ").__mod__, generators)))
+    key = "(" + ",".join(["%d"] * dim) + ")"  # str(Point(c)) for a c of this dimension
+    sep = ",\n      "
+    witnesses = [
+        f'"{k}": [\n      {sep.join(map(member.__getitem__, ms))}\n    ]' if ms else f'"{k}": []'
+        for k, ms in sorted(zip(map(key.__mod__, walk), walk.values()))
+    ]
+    points = array(list(map(point.__mod__, sorted(walk))), "  ")
+    text = json.dumps(head, sort_keys=True, indent=2)[:-2]  # without its closing "\n}"
+    return f'{text},\n  "points": {points},\n  "witnesses": {array(witnesses, "  ", "{}")}\n}}\n'
 
 
 # the text of each level 0..255 in a PGM row
@@ -247,23 +182,15 @@ def _fs_enumerate(args, cap: int) -> int:
     if args.heatmap:
         _require_2d(box, "--heatmap")
     reach = fs_enumerate(X, box, cell_cap=cap)
-    walk = dict(reach.witnesses())  # coordinate tuple -> members, tuples that _emit writes as lists
-    key = "(" + ",".join(["%d"] * box.dim) + ")"  # str(Point(c)) for a c of this dimension
-    witnesses = dict(zip(map(key.__mod__, walk), walk.values()))
-    points = sorted(walk)
-    payload = {
-        "box": {"lo": box.lo.to_json(), "hi": box.hi.to_json()},
-        "count": len(points),
-        "points": points,
-        "witnesses": witnesses,
-    }
+    walk = dict(reach.witnesses())  # coordinate tuple -> its members' coordinate tuples
+    head = {"box": {"lo": box.lo.to_json(), "hi": box.hi.to_json()}, "count": len(walk)}
     if args.heatmap:
         lx, ly = box.lo.coords
         hx, hy = box.hi.coords
         rows = [bit_levels(reach.row(y) >> lx, hx - lx + 1, 0, 255) for y in range(hy, ly - 1, -1)]
         _write_pgm(args.heatmap, rows)
-        payload["heatmap"] = args.heatmap
-    _emit(payload, args.out)
+        head["heatmap"] = args.heatmap
+    _write(_enumerate_text(head, walk, [g.coords for g in reach.generators]), args.out)
     return EXIT_OK
 
 

@@ -10,11 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import fslattice
 from fslattice import cli, cone, dyadic, gaps
-from fslattice.cli import _json_text, main
+from fslattice.cli import main
 from fslattice.core import Box, GeneratorSet, Point, Representation, validate_representation
 from fslattice.oracle import fs_enumerate
 
@@ -30,17 +30,24 @@ def write_json(path, data):
     return str(path)
 
 
-@pytest.fixture(autouse=True)
-def writer_is_json_dumps(monkeypatch):
-    """Every payload a test here emits, fuzzed ones included: the CLI's writer
-    gives the text of json.dumps(payload, sort_keys=True, indent=2)."""
+def point_key(coords):
+    return "(" + ",".join(map(str, coords)) + ")"
 
-    def checked(payload):
-        text = _json_text(payload)
-        assert text == json.dumps(payload, sort_keys=True, indent=2)
+
+@pytest.fixture(autouse=True)
+def enumerate_text_is_json_dumps(monkeypatch):
+    """Every `fs enumerate` a test here runs, fuzzed ones included: its
+    writer gives the text of json.dumps(payload, sort_keys=True, indent=2) plus
+    a newline, for the payload dict it stands for."""
+    writer = cli._enumerate_text
+
+    def checked(head, walk, generators):
+        text = writer(head, walk, generators)
+        payload = {**head, "points": sorted(walk), "witnesses": {point_key(c): m for c, m in walk.items()}}
+        assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
         return text
 
-    monkeypatch.setattr(cli, "_json_text", checked)
+    monkeypatch.setattr(cli, "_enumerate_text", checked)
 
 
 @pytest.fixture
@@ -806,99 +813,6 @@ def test_cli_imports_no_fractions_and_no_config():
     assert proc.stdout == "[]\n"
 
 
-# -- the JSON writer: the text of json.dumps(value, sort_keys=True, indent=2)
-
-json_strings = st.text(
-    st.characters() | st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\U0001f600\xe9'), max_size=6
-)
-json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers(-(2**100), 2**100)
-    | st.floats()
-    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
-    | json_strings
-)
-
-
-def json_trees(depth):
-    """JSON values nested at most `depth` deep; tuples stand for arrays too."""
-    if depth == 0:
-        return json_scalars
-    inner = json_trees(depth - 1)
-    return (
-        json_scalars
-        | st.lists(inner, max_size=3)
-        | st.lists(inner, max_size=3).map(tuple)
-        | st.dictionaries(json_strings, inner, max_size=3)
-    )
-
-
-@settings(deadline=None, max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(json_trees(6))
-def test_writer_is_json_dumps(value):
-    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
-
-
-@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.dictionaries(st.integers(-(2**70), 2**70), json_trees(2), max_size=5))
-def test_writer_int_keys(value):
-    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
-
-
-ONE_TUPLE = (1, 2)  # one object, listed in several rows below
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        {None: 1},
-        {True: [1]},
-        {1.5: {}},
-        {float("nan"): 0},
-        # the memo must not render these equal lists alike
-        [[1, 2], [1.0, 2], [True, 2], (1, 2), [[1, 2]]],
-        [(1, 2), (1.0, 2), (True, 2), (1, 2)],
-        # one tuple at two indents
-        [(1,), [(1,)], {"a": [(1,)]}],
-        # a tuple holding a list is not a memo key
-        [(1, [2, 3]), (1, [2, 3]), ([],)],
-        # the memo is keyed by identity: one tuple object at two indents,
-        [ONE_TUPLE, [ONE_TUPLE], {"a": [ONE_TUPLE]}],
-        # distinct equal objects in one list,
-        [(1, 2), (True, 2), (1.0, 2)],
-        # one object listed twice,
-        [ONE_TUPLE, ONE_TUPLE, [ONE_TUPLE]],
-        # and a tuple that holds a list
-        [(1, [2]), ONE_TUPLE, (1, [2])],
-        # int tuples of mixed lengths, which no one template renders
-        [(1, 2), (3,), (4, 5, 6), (1, 2), (7,)],
-        # an empty tuple among int tuples
-        [(), (1,), ()],
-        [(), ()],
-        # a tuple holding True, which %d would write as 1
-        [(1, True), (1, 2)],
-        [(True,), (False,)],
-        # a dict whose list values mix tuples rendered by an earlier value at
-        # the same indent (listed twice there, so kept) with unseen ones, and
-        # hold an empty list
-        {"a": {"x": [ONE_TUPLE, ONE_TUPLE]}, "b": {"x": [ONE_TUPLE, (7, 8)], "y": [], "z": [(7, 8), (9,)]}},
-        {"a": [ONE_TUPLE, (1, True)], "b": (ONE_TUPLE, [1.5]), "c": [[ONE_TUPLE]]},
-    ],
-)
-def test_writer_keys_and_memo(value):
-    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
-
-
-@pytest.mark.parametrize("value", [{1, 2}, {"a": [frozenset()]}, {(1, 2): 0}])
-def test_writer_refuses_what_json_refuses(value):
-    with pytest.raises(TypeError) as expected:
-        json.dumps(value, sort_keys=True, indent=2)
-    with pytest.raises(TypeError) as got:
-        _json_text(value)
-    assert str(got.value) == str(expected.value)
-
-
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 2**80) | st.floats(allow_nan=False) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
@@ -979,9 +893,61 @@ def test_fs_enumerate_fuzz(capsys, monkeypatch, tmp_path, generators, box, cap):
     gens = {tuple(g) for g in json.loads(generators)}
     assert payload["count"] == len(payload["points"]) == len(payload["witnesses"])
     for p in payload["points"]:
-        members = payload["witnesses"]["(" + ",".join(map(str, p)) + ")"]
+        members = payload["witnesses"][point_key(p)]
         assert all(tuple(m) in gens for m in members)
         assert validate_representation(Representation.from_json({"target": p, "members": members}))
+
+
+@st.composite
+def enumerate_cases(draw):
+    """A 1-4D generator set (empty ones too), a box whose lo may be nonzero and
+    reach no point, a 2D heatmap at a non-ASCII path or none, --out or stdout."""
+    dim = draw(st.integers(1, 4))
+    coords = st.tuples(*[st.integers(0, 3)] * dim)
+    generators = draw(st.lists(coords.filter(any), max_size=6, unique=True))
+    lo = draw(coords)
+    hi = tuple(c + draw(st.integers(0, 3)) for c in lo)
+    heatmap = dim == 2 and draw(st.booleans())
+    return generators, lo, hi, heatmap, draw(st.booleans())
+
+
+@settings(deadline=None, max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(enumerate_cases())
+# an empty file; a box with no point; the origin's empty witness; non-ASCII heatmap to --out
+@example(([], (0,), (3,), False, False))
+@example(([], (1, 0), (2, 2), True, True))
+@example(([(1, 0, 0, 2), (0, 1, 3, 0)], (0, 0, 0, 0), (1, 1, 3, 2), False, True))
+@example(([(1, 2), (3, 1), (2, 2)], (1, 1), (4, 4), True, True))
+def test_fs_enumerate_is_json_dumps(capsys, tmp_path, case):
+    """`fs enumerate` writes json.dumps of a payload built here by trying every
+    include vector in lexicographic order, canonical generators first."""
+    generators, lo, hi, heatmap, to_file = case
+    path = write_json(tmp_path / "g.json", generators)
+    argv = ["fs", "enumerate", "--generators", path, "--box", ",".join(map(str, lo + hi))]
+    canonical = sorted(generators)
+    witnesses = {}
+    for include in itertools.product((0, 1), repeat=len(canonical)):
+        members = list(itertools.compress(canonical, include))
+        p = tuple(map(sum, zip(*members, (0,) * len(lo))))
+        if all(l <= c <= h for l, c, h in zip(lo, p, hi)):
+            witnesses.setdefault(p, members)
+    payload = {
+        "box": {"lo": list(lo), "hi": list(hi)},
+        "count": len(witnesses),
+        "points": sorted(witnesses),
+        "witnesses": {point_key(p): m for p, m in witnesses.items()},
+    }
+    if heatmap:
+        payload["heatmap"] = str(tmp_path / "карта-é.pgm")
+        argv += ["--heatmap", payload["heatmap"]]
+    out = tmp_path / "out.json"
+    if to_file:
+        argv += ["--out", str(out)]
+    code, printed, err = run(capsys, argv)
+    assert code == 0, err
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert (out.read_text() if to_file else printed) == expected
+    assert printed == ("" if to_file else expected)
 
 
 # -- every other subcommand: any input exits 0, 1, 2 or 64, never with a traceback.
