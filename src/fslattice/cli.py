@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import cone, dyadic, gaps
 from .core import (
@@ -25,7 +25,7 @@ from .core import (
     int_array,
     parse_point,
 )
-from .oracle import bit_levels, fs_enumerate, fs_membership
+from .oracle import ReachableSet, bit_levels, fs_enumerate, fs_membership
 from .selftest import payload_of, run_criteria
 
 EXIT_OK = 0
@@ -44,24 +44,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write(text: str, out: Optional[str]) -> None:
+def _write(pieces: Iterable[str], out: Optional[str]) -> None:
+    """Write the pieces of one text, in order, to the file out or to stdout."""
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
-    _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", out)
+    _write((json.dumps(payload, sort_keys=True, indent=2), "\n"), out)
 
 
-def _enumerate_text(head: dict, walk: dict, generators: Sequence[tuple[int, ...]]) -> str:
-    """The text `_emit` writes for head plus "points", walk's sorted keys, and
-    "witnesses", walk's member lists keyed by str(Point(c)).  Those two keys
-    sort after head's ("box", "count", "heatmap"), so json.dumps writes head
-    and one %d template per tuple shape writes the two arrays; the members are
-    generators' tuples, each rendered once."""
-    dim = len(head["box"]["lo"])
+def _enumerate_pieces(head: dict, reach: ReachableSet) -> list[str]:
+    """The pieces of the text `_emit` writes for head plus "points", the set's
+    coordinate tuples sorted, and "witnesses", each point's witness members
+    keyed by str(Point(c)).  Those two keys sort after head's ("box",
+    "count", "heatmap"), so json.dumps writes head and one %d template per
+    tuple shape writes the two arrays.  Each generator's member text is
+    rendered once, and the witness walk folds those texts into each point's
+    member list."""
+    dim = reach.box.dim
 
     def array(parts: list[str], ind: str, brackets: str = "[]") -> str:
         """An indented JSON container of item texts, opening on a line at indent ind."""
@@ -69,17 +73,23 @@ def _enumerate_text(head: dict, walk: dict, generators: Sequence[tuple[int, ...]
             return brackets
         return f"{brackets[0]}\n{ind}  " + f",\n{ind}  ".join(parts) + f"\n{ind}{brackets[1]}"
 
+    member = array(["%d"] * dim, "      ")
+    key = '"(' + ",".join(["%d"] * dim) + ')": '  # str(Point(c)) for a c of this dimension
+    # a witness's text is ",\n      " before each member, folded by the walk
+    values = [",\n      " + member % g.coords for g in reach.generators]
+    points, witnesses = [], []
+    for c, text in reach.witnesses(values):
+        points.append(c)
+        witnesses.append(key % c + (f"[{text[1:]}\n    ]" if text else "[]"))
     point = array(["%d"] * dim, "    ")
-    member = dict(zip(generators, map(array(["%d"] * dim, "      ").__mod__, generators)))
-    key = "(" + ",".join(["%d"] * dim) + ")"  # str(Point(c)) for a c of this dimension
-    sep = ",\n      "
-    witnesses = [
-        f'"{k}": [\n      {sep.join(map(member.__getitem__, ms))}\n    ]' if ms else f'"{k}": []'
-        for k, ms in sorted(zip(map(key.__mod__, walk), walk.values()))
+    return [
+        json.dumps(head, sort_keys=True, indent=2)[:-2],  # without its closing "\n}"
+        ',\n  "points": ',
+        array(list(map(point.__mod__, sorted(points))), "  "),
+        ',\n  "witnesses": ',
+        array(sorted(witnesses), "  ", "{}"),  # no key is a prefix of another: they sort as their keys
+        "\n}\n",
     ]
-    points = array(list(map(point.__mod__, sorted(walk))), "  ")
-    text = json.dumps(head, sort_keys=True, indent=2)[:-2]  # without its closing "\n}"
-    return f'{text},\n  "points": {points},\n  "witnesses": {array(witnesses, "  ", "{}")}\n}}\n'
 
 
 # the text of each level 0..255 in a PGM row
@@ -182,15 +192,14 @@ def _fs_enumerate(args, cap: int) -> int:
     if args.heatmap:
         _require_2d(box, "--heatmap")
     reach = fs_enumerate(X, box, cell_cap=cap)
-    walk = dict(reach.witnesses())  # coordinate tuple -> its members' coordinate tuples
-    head = {"box": {"lo": box.lo.to_json(), "hi": box.hi.to_json()}, "count": len(walk)}
+    head = {"box": {"lo": box.lo.to_json(), "hi": box.hi.to_json()}, "count": len(reach)}
     if args.heatmap:
         lx, ly = box.lo.coords
         hx, hy = box.hi.coords
         rows = [bit_levels(reach.row(y) >> lx, hx - lx + 1, 0, 255) for y in range(hy, ly - 1, -1)]
         _write_pgm(args.heatmap, rows)
         head["heatmap"] = args.heatmap
-    _write(_enumerate_text(head, walk, [g.coords for g in reach.generators]), args.out)
+    _write(_enumerate_pieces(head, reach), args.out)
     return EXIT_OK
 
 

@@ -131,8 +131,18 @@ class ReachableSet(Set):
     set exactly for the reachable cells of the box.  Points are built only
     while iterating.
 
-    The witness rule: the generators are added in reverse canonical order,
-    whatever order they are given in.  A point's witness takes the generator
+    Two orders, whatever order the generators are given in.  The reach does
+    not depend on the order, so the pass that builds only the reach adds them
+    narrow first: ascending last coordinate, the larger shift first among
+    equal ones.  After m steps the reach spans at most the rows of the last
+    axis up to the sum of their last coordinates, so taking the small ones
+    first (the shortest-processing-time rule) makes every such prefix sum,
+    and so the bits each step shifts, as small as it can be; among equal last
+    coordinates each shifted copy is then no wider than the one before, and
+    its memory is reused.  Only the planes pass fixes the witness order.
+
+    The witness rule: the planes are built adding the generators in reverse
+    canonical order, `generators`.  A point's witness takes the generator
     whose stage first reached it, steps back by it and repeats to the origin,
     so it depends only on the generator set and the point and lists its
     members in canonical order.  It is the lexicographically first include
@@ -177,12 +187,12 @@ class ReachableSet(Set):
         self._len = reach.bit_count()
         self._bytes = reach.to_bytes(cells // 8 + 1, "little")  # one bytes view for every bit test
 
-    def _stages(self) -> Iterator[int]:
+    def _stages(self, order: Sequence[Point]) -> Iterator[int]:
         """The DP over [0, box.hi]: the reach bitset of stages 0..n, where stage
-        m has added the first m generators, each included or not."""
+        m has added the first m generators of order, each included or not."""
         reach = 1  # bit 0, the origin, is the empty sum
         yield reach
-        for g in self.generators:
+        for g in order:
             reach = self._include(reach, g)
             yield reach
 
@@ -193,10 +203,14 @@ class ReachableSet(Set):
         and g(k) is the XOR of g(m) ^ g(m + 1) over m = k..n - 1 and of g(n):
         so stage m < n XORs its cells into the one plane where g(m) and
         g(m + 1) differ, bit tz(m + 1), and stage n into the planes of the set
-        bits of g(n)."""
+        bits of g(n).  The planes pass walks the witness order; the reach
+        alone walks the narrow-first order of the class docstring."""
         n = len(self.generators)
         gray = [0] * n.bit_length() if planes else []
-        for m, reach in enumerate(self._stages()):
+        order = self.generators
+        if not planes:
+            order = sorted(order, key=lambda g: (g.coords[-1], -self._shifts[g.coords]))
+        for m, reach in enumerate(self._stages(order)):
             if planes:
                 flips = (m + 1) & -(m + 1) if m < n else n ^ n >> 1
                 for j in range(flips.bit_length()):
@@ -335,20 +349,28 @@ class ReachableSet(Set):
             table.byteswap()
         return compress(table, b"".join(map(_spread_bits(1).__getitem__, occupied)))
 
-    def witnesses(self) -> Iterator[tuple[tuple[int, ...], list[tuple[int, ...]]]]:
+    def witnesses(
+        self, values: Optional[Sequence[Sequence]] = None
+    ) -> Iterator[tuple[tuple[int, ...], Sequence]]:
         """(coords, members) for every point, in iteration order, on coordinate
         tuples: members lists the coords of witness(p)'s members in the same
-        order, the generators' own tuples.  Each member list is the cell's
-        generator followed by the memoized list of the cell it steps back to.
-        The points' first-reach indices are decoded in bulk, one chunk of
-        `_chunks()` at a time, so a decode's memory is bounded; a walk below
-        box.lo decodes its cells one at a time.  One memo, local to the call,
-        maps each cell walked to its members, so a walk stops at the first cell
-        an earlier walk passed and the walks share their tails."""
-        # per first-reach index k: generator k - 1's coords as a 1-tuple and its offset;
-        # k = 0, the origin's, adds nothing
-        steps = [((), 0)] + [((g.coords,), off) for g, off in zip(self.generators, self._offsets)]
-        memo: dict[int, tuple[tuple[int, ...], ...]] = {0: ()}
+        order, the generators' own tuples.  With values, one per generator of
+        `generators` (tuples or strings, say), members is instead the
+        concatenation of the members' values in that order, from values[0][:0]
+        (() without generators).  Each point's members is its cell's value
+        followed by the memoized fold of the cell it steps back to.  The points'
+        first-reach indices are decoded in bulk, one chunk of `_chunks()` at a
+        time, so a decode's memory is bounded; a walk below box.lo decodes its
+        cells one at a time.  One memo, local to the call, maps each cell walked
+        to its fold, so a walk stops at the first cell an earlier walk passed
+        and the walks share their tails."""
+        as_lists = values is None
+        if as_lists:  # each generator's coords as a 1-tuple
+            values = [(g.coords,) for g in self.generators]
+        # per first-reach index k: generator k - 1's value and its offset; k = 0,
+        # the origin's, adds nothing
+        steps = [(values[0][:0] if values else (), 0), *zip(values, self._offsets)]
+        memo: dict[int, Sequence] = {0: steps[0][0]}
         get = memo.get
         for runs in self._chunks():
             for (i, c), k in zip(self._cells(runs), self._first_reaches(runs)):
@@ -357,7 +379,7 @@ class ReachableSet(Set):
                 # memoized it already, unless it lies below box.lo; then so do the
                 # walk's later cells, in no reach byte, so each is decoded alone
                 if (tail := get(i - offset)) is None:
-                    path = []  # (cell, its generator) down to a memoized cell
+                    path = []  # (cell, its generator's value) down to a memoized cell
                     j = i - offset
                     while (tail := get(j)) is None:
                         h, step = steps[self._first_reach(j)]
@@ -367,7 +389,7 @@ class ReachableSet(Set):
                         tail = h + tail
                         memo[cell] = tail
                 members = memo[i] = g + tail
-                yield c, list(members)
+                yield c, list(members) if as_lists else members
 
 
 def _bit(view: bytes, i: int) -> int:

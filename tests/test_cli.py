@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -35,19 +36,23 @@ def point_key(coords):
 
 
 @pytest.fixture(autouse=True)
-def enumerate_text_is_json_dumps(monkeypatch):
+def enumerate_pieces_are_json_dumps(monkeypatch):
     """Every `fs enumerate` a test here runs, fuzzed ones included: its
-    writer gives the text of json.dumps(payload, sort_keys=True, indent=2) plus
-    a newline, for the payload dict it stands for."""
-    writer = cli._enumerate_text
+    pieces join to the text of json.dumps(payload, sort_keys=True, indent=2)
+    plus a newline, for the payload rebuilt from the set's default
+    `witnesses()` walk.  Returns the unchecked function."""
+    pieces_of = cli._enumerate_pieces
 
-    def checked(head, walk, generators):
-        text = writer(head, walk, generators)
+    def checked(head, reach):
+        pieces = pieces_of(head, reach)
+        walk = dict(reach.witnesses())
+        assert head["count"] == len(walk)
         payload = {**head, "points": sorted(walk), "witnesses": {point_key(c): m for c, m in walk.items()}}
-        assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        return text
+        assert "".join(pieces) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return pieces
 
-    monkeypatch.setattr(cli, "_enumerate_text", checked)
+    monkeypatch.setattr(cli, "_enumerate_pieces", checked)
+    return pieces_of
 
 
 @pytest.fixture
@@ -116,6 +121,26 @@ class TestFs:
             code, out, _ = run(capsys, argv)
             assert code == 0
             assert json.loads(out)["representation"]["members"] == members
+
+
+    def test_enumerate_memory_follows_its_output(self, tmp_path, monkeypatch, enumerate_pieces_are_json_dumps):
+        # the 64 dyadic generators (2^i, 2^j), i, j <= 7, over [0,127]^2, 49 of
+        # them inside: a 3.4 MB payload, whose text is never held whole
+        gens = write_json(tmp_path / "g.json", [[1 << i, 1 << j] for i in range(8) for j in range(8)])
+        out = tmp_path / "out.json"
+        argv = ["fs", "enumerate", "--generators", gens, "--box", "0,0,127,127", "--out", str(out)]
+        assert main(argv) == 0  # its text checked by the autouse fixture
+        checked = out.read_bytes()
+        # unchecked under tracemalloc: the fixture's json.dumps would set the peak
+        monkeypatch.setattr(cli, "_enumerate_pieces", enumerate_pieces_are_json_dumps)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == checked and len(checked) > 3_000_000
+        assert peak <= 5 * len(checked)
 
 
 class TestCone:

@@ -7,7 +7,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fslattice import cone, dyadic, oracle
+from fslattice import cone, dyadic, gaps, oracle
 from fslattice.core import (
     Box,
     GeneratorSet,
@@ -258,6 +258,13 @@ def count_steps(monkeypatch) -> list:
     return steps
 
 
+def narrow_first(gens) -> list:
+    """The reach-only pass's order: ascending last coordinate, then the larger
+    shift first, that is descending in the other coordinates, read from the
+    last axis down (a padded axis's place value exceeds every shift below it)."""
+    return sorted(gens, key=lambda g: (g.coords[-1], [-c for c in reversed(g.coords[:-1])]))
+
+
 class TestMembershipSearch:
     @settings(deadline=None, max_examples=80)
     @given(sets_and_boxes())
@@ -491,12 +498,12 @@ class TestReachableSet:
         finally:
             tracemalloc.stop()
         assert peak < 16_000_000
-        one_pass = list(reach.generators)
-        assert enumerated == one_pass
-        assert steps == 2 * one_pass
+        reach_pass, planes_pass = narrow_first(reach.generators), list(reach.generators)
+        assert enumerated == reach_pass and len(enumerated) == len(reach.generators)
+        assert steps == reach_pass + planes_pass and len(steps) == 2 * len(reach.generators)
         reach.witness(next(iter(reach)))
         next(reach.witnesses())
-        assert steps == 2 * one_pass
+        assert steps == reach_pass + planes_pass
         # 2047 = 1 + 2 + ... + 1024, each power once with second coordinate 1
         assert [m.coords for m in rep.members] == [(1 << i, 1) for i in range(11)]
 
@@ -537,8 +544,54 @@ class TestReachableSet:
         assert Point((40, 24)) in reach and Point((7, 2)) not in reach
         assert len(reach) == len(list(reach)) == len(reach.points) > 0
         assert reach.row(5) and not reach.row(30)
-        assert steps == list(reach.generators)
+        assert steps == narrow_first(reach.generators)
         assert "_planes" not in vars(reach)
+
+    @settings(deadline=None, max_examples=100)
+    @given(padded_cases().filter(lambda case: any(case[0].lo.coords)))
+    def test_either_pass_gives_the_same_reach(self, case):
+        # the reach-only pass adds the generators narrow first, the planes pass
+        # in the witness order
+        box, gens = case
+        assert ReachableSet(box, gens)._bytes == ReachableSet(box, gens, planes=True)._bytes
+
+    def test_one_row_sets_keep_the_planes_step_sequence(self, monkeypatch):
+        # five_squares_check's (r^2, 1) and trm_table's (a, 1) share their last
+        # coordinate, so the reach pass's larger-shift-first ties give the
+        # planes pass's reverse canonical order, step for step
+        steps = count_steps(monkeypatch)
+        gaps.five_squares_check(1, 2000)
+        squares = [Point((r * r, 1)) for r in range(1, 45)]
+        assert steps == squares[::-1]
+        del steps[:]
+        ReachableSet(Box(Point((0, 0)), Point((2000, 5))), squares, planes=True)
+        assert steps == squares[::-1]
+        del steps[:]
+        values = [1, 2, 3, 5, 8, 13, 21]
+        assert trm_table(values, 20)[19] == 5  # 1 + 2 + 3 + 5 + 8
+        lifted = [Point((a, 1)) for a in values if a <= 20]
+        assert steps == lifted[::-1]
+        del steps[:]
+        ReachableSet(Box(Point((0, 0)), Point((20, 5))), lifted, planes=True)
+        assert steps == lifted[::-1]
+
+    def test_reach_pass_shifts_fewer_bits(self, monkeypatch):
+        # the sum over the DP steps of the bits each one shifts, on the
+        # benchmark's 1023^2 dyadic grid: narrow first against the witness order
+        include = ReachableSet._include
+        bits = []
+
+        def counted(self, reach, g):
+            bits.append(reach.bit_length())
+            return include(self, reach, g)
+
+        monkeypatch.setattr(ReachableSet, "_include", counted)
+        hi = Point((1023, 1023))
+        fs_enumerate(dyadic.dyadic_generators(hi), Box(Point((1, 1)), hi))
+        assert len(bits) == 100 and sum(bits) == 68_157_113
+        del bits[:]
+        ReachableSet(Box(Point((1, 1)), hi), dyadic.dyadic_generators(hi), planes=True)
+        assert len(bits) == 100 and sum(bits) == 145_069_679
 
     @settings(deadline=None, max_examples=60)
     @given(sets_and_boxes(), st.randoms(use_true_random=False))
