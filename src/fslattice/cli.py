@@ -138,10 +138,12 @@ def _cell_cap() -> int:
 
 
 def read_json(path: str) -> object:
-    """Decode the JSON file at `path`; nesting too deep to decode is a ValidationError."""
-    text = Path(path).read_text()
+    """Decode the JSON file at `path` (UTF-8, a byte-order mark allowed); nesting
+    too deep to decode is a ValidationError."""
+    with open(path, "rb") as f:  # a third of Path.read_bytes's time on a small file
+        data = f.read()
     try:
-        return json.loads(text)
+        return json.loads(data)
     except RecursionError as exc:
         raise ValidationError(f"{path}: JSON nested too deeply to decode") from exc
 
@@ -306,74 +308,72 @@ def _selftest(args, cap: int) -> int:
     return EXIT_OK if payload["all_passed"] else EXIT_DOMAIN
 
 
-@functools.cache  # built on the first main() call, then reused
+# the keywords of a required option, of text and of an int
+_TEXT = {"required": True}
+_INT = {"type": int, "required": True}
+# every command: name -> (handler, its options' add_argument keywords); each
+# command without its own "--out" also takes the shared one of _WRITES_JSON
+COMMANDS = {
+    "fs check": (_fs_check, {"--generators": _TEXT, "--target": _TEXT}),
+    "fs enumerate": (_fs_enumerate, {"--generators": _TEXT, "--box": _TEXT, "--heatmap": {}}),
+    "cone build": (
+        _cone_build,
+        {"--v": dict(_TEXT, help='generators, e.g. "1,2;2,1"'), "--depth": {"type": int, "default": 6}},
+    ),
+    "cone decompose": (_cone_decompose, {"--spec": _TEXT, "--point": _TEXT}),
+    "cone verify": (_cone_verify, {"--spec": _TEXT, "--max": {"type": int, "default": 80}}),
+    "dyadic check": (_dyadic_check, {"--point": _TEXT}),
+    "dyadic map": (_dyadic_map, {"--box": _TEXT, "--out": _TEXT}),  # --out: the PGM path
+    "dyadic empty-square": (_dyadic_empty_square, {"--D": _INT, "--verify": {"action": "store_true"}}),
+    "dyadic dense-square": (_dyadic_dense_square, {"--R": _INT}),
+    "gap build": (_gap_build, {"--A": _TEXT, "--B": _TEXT, "--L": dict(_TEXT, help='lengths, e.g. "3,2"')}),
+    "gap rectangle": (_gap_rectangle, {"--A": _TEXT, "--B": _TEXT, "--T": _INT, "--H": _INT}),
+    "gap five-squares": (_gap_five_squares, {"--lo": _INT, "--hi": _INT}),
+    "selftest": (
+        _selftest,
+        {"--seed": {"type": int, "default": 0}, "--criteria": {"help": 'subset to run, e.g. "1,4,12"'}},
+    ),
+}
+# the help of each name the tree lists first
+_TOP_HELP = {"fs": "brute-force oracle", "cone": "thin cone generators", "dyadic": "power-of-two grid",
+             "gap": "GAPs and dense rectangles", "selftest": "run the acceptance suite"}
+_WRITES_JSON = _Parser(add_help=False)  # the parent parser of the shared "--out"
+_WRITES_JSON.add_argument("--out")
+
+
+def _command(command: str, make, **kwargs) -> _Parser:
+    """make(**kwargs) with the shared "--out" (unless the command declares its
+    own), the command's other options, and its handler as `run`."""
+    run, options = COMMANDS[command]
+    p = make(parents=[] if "--out" in options else [_WRITES_JSON], **kwargs)
+    for option, keywords in options.items():
+        p.add_argument(option, **keywords)
+    p.set_defaults(run=run)
+    return p
+
+
+@functools.cache  # main parses a valid command with its parser alone
+def command_parser(name: str) -> _Parser:
+    """The parser of the command `name` in COMMANDS, e.g. "fs check"."""
+    return _command(name, _Parser, prog=f"fslattice {name}")
+
+
+@functools.cache  # built only for an argv that names no command: help and usage errors
 def build_parser() -> _Parser:
-    """The command tree; each command's parser sets `run`, the handler main calls."""
+    """The command tree of COMMANDS, with the help of its groups and of selftest."""
     parser = _Parser(prog="fslattice", description=__doc__)
-    sub = parser.add_subparsers(dest="group", required=True)
-    writes_json = _Parser(add_help=False)  # the parent of every command but `dyadic map`
-    writes_json.add_argument("--out")
-
-    def command(commands, name: str, run, parents=(writes_json,), **kwargs) -> _Parser:
-        p = commands.add_parser(name, parents=list(parents), **kwargs)
-        p.set_defaults(run=run)
-        return p
-
-    def group(name: str, text: str):
-        return sub.add_parser(name, help=text).add_subparsers(dest="command", required=True)
-
-    fs = group("fs", "brute-force oracle")
-    p = command(fs, "check", _fs_check)
-    p.add_argument("--generators", required=True)
-    p.add_argument("--target", required=True)
-    p = command(fs, "enumerate", _fs_enumerate)
-    p.add_argument("--generators", required=True)
-    p.add_argument("--box", required=True)
-    p.add_argument("--heatmap")
-
-    cn = group("cone", "thin cone generators")
-    p = command(cn, "build", _cone_build)
-    p.add_argument("--v", required=True, help='generators, e.g. "1,2;2,1"')
-    p.add_argument("--depth", type=int, default=6)
-    p = command(cn, "decompose", _cone_decompose)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--point", required=True)
-    p = command(cn, "verify", _cone_verify)
-    p.add_argument("--spec", required=True)
-    p.add_argument("--max", type=int, default=80)
-
-    dy = group("dyadic", "power-of-two grid")
-    command(dy, "check", _dyadic_check).add_argument("--point", required=True)
-    p = command(dy, "map", _dyadic_map, parents=())
-    p.add_argument("--box", required=True)
-    p.add_argument("--out", required=True)  # the PGM path
-    p = command(dy, "empty-square", _dyadic_empty_square)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-    command(dy, "dense-square", _dyadic_dense_square).add_argument("--R", type=int, required=True)
-
-    gp = group("gap", "GAPs and dense rectangles")
-    p = command(gp, "build", _gap_build)
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--L", required=True, help='lengths, e.g. "3,2"')
-    p = command(gp, "rectangle", _gap_rectangle)
-    p.add_argument("--A", required=True)
-    p.add_argument("--B", required=True)
-    p.add_argument("--T", type=int, required=True)
-    p.add_argument("--H", type=int, required=True)
-    p = command(gp, "five-squares", _gap_five_squares)
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-
-    p = command(sub, "selftest", _selftest, help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--criteria", help='subset to run, e.g. "1,4,12"')
+    subs = {"": parser.add_subparsers(dest="group", required=True)}
+    for name in COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        if group not in subs:
+            commands = subs[""].add_parser(group, help=_TOP_HELP[group])
+            subs[group] = commands.add_subparsers(dest="command", required=True)
+        kwargs = {} if group else {"help": _TOP_HELP[leaf]}  # a group lists no help for its commands
+        _command(name, subs[group].add_parser, name=leaf, **kwargs)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes a "--" where the group or the command name goes for that
     # name; there it ends no options, so skip it
@@ -381,8 +381,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         del argv[0]
     if argv[1:2] == ["--"] and argv[0] != "selftest":
         del argv[1]
+    words = 1 if argv[:1] == ["selftest"] else 2
+    name = " ".join(argv[:words])
     try:
-        args = parser.parse_args(argv)
+        if len(argv) >= words and name in COMMANDS:  # a lone argument "fs check" names no command
+            args = command_parser(name).parse_args(argv[words:])
+        else:
+            args = build_parser().parse_args(argv)
     except UsageError as exc:
         message = str(exc)
         first = argv[0] if argv else ""

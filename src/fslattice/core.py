@@ -6,6 +6,7 @@ canonical (lexicographic) ordering fixed by GeneratorSet.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -187,6 +188,13 @@ class GeneratorSet:
     def from_json(cls, data: Sequence[Sequence[int]]) -> "GeneratorSet":
         if not isinstance(data, (list, tuple)):
             raise ValidationError("a generator set must be an array of points")
+        # one pass over every coordinate when each point is an array of
+        # nonnegative ints (Point refuses an empty one); else the points one by
+        # one, so the message names the first faulty point
+        if all(isinstance(p, (list, tuple)) for p in data):
+            flat = list(itertools.chain.from_iterable(data))
+            if set(map(type, flat)) <= {int} and min(flat, default=0) >= 0:
+                return cls(tuple(map(Point, sorted(set(map(tuple, data))))))
         return cls.of(Point.from_json(p) for p in data)
 
 

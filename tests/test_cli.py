@@ -454,6 +454,73 @@ def test_every_command_has_its_handler_and_the_shared_out():
     assert pgm is not shared and pgm.required
 
 
+# per command, the words after its name: one argv that parses and one that fails
+DISPATCH_CASES = {
+    "fs check": (["--generators", "g.json", "--target", "1,2", "--out", "o.json"], ["--generators", "g.json"]),
+    "fs enumerate": (["--generators", "g.json", "--box", "0,0,3,3", "--heatmap", "h.pgm"], ["--box", "0,0", "--bogus"]),
+    "cone build": (["--v", "1,2;2,1"], ["--v", "1,2", "--depth", "x"]),
+    "cone decompose": (["--spec", "c.json", "--point", "9,18"], ["--spec", "c.json", "--point", "9,18", "extra"]),
+    "cone verify": (["--spec", "c.json", "--max", "5"], ["--spec", "c.json", "--max", "1.5"]),
+    "dyadic check": (["--point", "5,3"], []),
+    "dyadic map": (["--box", "1,1,7,7", "--out", "m.pgm"], ["--box", "1,1,7,7"]),
+    "dyadic empty-square": (["--D", "3", "--verify"], ["--D", "3", "--verify", "yes"]),
+    "dyadic dense-square": (["--R", "4"], ["--R"]),
+    "gap build": (["--A", "a.json", "--B", "b.json", "--L", "3,2"], ["--A", "a.json", "--B", "b.json"]),
+    "gap rectangle": (["--A", "a", "--B", "b", "--T", "3", "--H", "5"], ["--A", "a", "--B", "b", "--T", "3", "--H", "x"]),
+    "gap five-squares": (["--lo", "1", "--hi", "9"], ["--lo", "1", "--hi", "9", "--", "x"]),
+    "selftest": (["--seed", "3", "--criteria", "1,2"], ["--seed"]),
+}
+
+
+def _parsed(parser, argv):
+    """The namespace parser gives argv, without the tree's group and command, or its usage error."""
+    try:
+        args = vars(parser.parse_args(argv))
+    except cli.UsageError as exc:
+        return str(exc)
+    return {k: v for k, v in args.items() if k not in ("group", "command")}
+
+
+@pytest.mark.parametrize("name", DISPATCH_CASES)
+def test_command_parser_parses_as_the_tree(name):
+    assert set(DISPATCH_CASES) == set(cli.COMMANDS) == _commands(cli.build_parser())
+    good, bad = DISPATCH_CASES[name]
+    parsed = _parsed(cli.command_parser(name), good)
+    assert isinstance(parsed, dict) and parsed["run"] is cli.COMMANDS[name][0]
+    assert parsed == _parsed(cli.build_parser(), name.split() + good)
+    message = _parsed(cli.command_parser(name), bad)
+    assert isinstance(message, str) and message == _parsed(cli.build_parser(), name.split() + bad)
+
+
+def test_first_main_builds_one_command_parser_and_no_tree(capsys):
+    cli.build_parser.cache_clear()
+    cli.command_parser.cache_clear()
+    assert run(capsys, ["dyadic", "check", "--point", "5,3"])[0] == 0
+    assert cli.build_parser.cache_info().currsize == 0
+    assert cli.command_parser.cache_info()[1:] == (1, None, 1)  # one miss, one parser held
+    # an argv that names no command is parsed by the tree
+    assert run(capsys, ["dyadic"]) == (64, "", "usage error: the following arguments are required: command\n")
+    assert cli.build_parser.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["fs", "-h"], ["fs", "check", "-h"]], ids=" ".join)
+def test_help_exits_zero_with_its_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    prog = " ".join(["fslattice", *argv[:-1]])
+    assert capsys.readouterr().out.startswith(f"usage: {prog} [-h]")
+
+
+def test_json_input_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    plain = write_json(tmp_path / "g.json", [[1, 2], [2, 1]])
+    marked = tmp_path / "marked.json"
+    marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+    expected = run(capsys, ["fs", "check", "--generators", plain, "--target", "3,3"])
+    assert expected[0] == 0
+    assert run(capsys, ["fs", "check", "--generators", str(marked), "--target", "3,3"]) == expected
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -599,6 +666,7 @@ class TestExitCodes:
             (["gap", "five-squares", "--lo", "30", "--hi", "30"], "-5"),
             (["fs", "check", "--generators", "deep.json", "--target", "1,1"], None),
             (["fs", "check", "--generators", "newline.json", "--target", "1,1"], None),
+            (["fs", "check", "--generators", "latin1.json", "--target", "1,1"], None),
             (["cone", "decompose", "--spec", "spec-array.json", "--point", "3,3"], None),
             (["cone", "verify", "--spec", "spec-array.json"], None),
             (["cone", "decompose", "--spec", "spec-no-v.json", "--point", "3,3"], None),
@@ -627,6 +695,7 @@ class TestExitCodes:
             "negative-env-cap",
             "deep-generators",
             "newline-in-message",
+            "not-utf8",
             "cone-decompose-array",
             "cone-verify-array",
             "cone-decompose-no-v",
@@ -649,6 +718,7 @@ class TestExitCodes:
         write_json(tmp_path / "nested.json", [[1, 2], [3]])
         (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
         write_json(tmp_path / "newline.json", ["\n"])
+        (tmp_path / "latin1.json").write_bytes('[["é"]]'.encode("latin-1"))
         write_json(tmp_path / "spec-array.json", [[1, 2], [2, 1]])
         write_json(tmp_path / "spec-no-v.json", {"w": 1})
         write_json(tmp_path / "spec-v-int.json", {"v": 5})

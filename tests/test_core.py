@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fslattice.core import (
     Box,
@@ -180,6 +180,32 @@ class TestGeneratorSet:
         else:
             assert expected is None
             assert all(Point(c) in gs for c in coords)
+
+    @given(
+        st.lists(
+            # good points (the zero vector and mixed dimensions among them), then
+            # empty points and points holding bools, floats, negatives or arrays
+            st.lists(st.integers(0, 3), min_size=1, max_size=3)
+            | st.lists(st.integers(-2, 3) | st.booleans() | st.floats(0, 3) | st.just([1]), max_size=3),
+            max_size=6,
+        ).flatmap(lambda ps: st.permutations(ps + ps[:2]))  # duplicates, in any order
+    )
+    @example([[5, -1], [1, -2]])
+    @example([[1, 2], [1.5], [-1, 0]])
+    def test_from_json_is_of_each_point_from_json(self, data):
+        # the reference: each point through Point.from_json, in file order, then of()
+        try:
+            expected = GeneratorSet.of(Point.from_json(p) for p in data)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                GeneratorSet.from_json(data)
+            assert str(got.value) == str(exc)
+        else:
+            assert GeneratorSet.from_json(data) == expected
+
+    def test_from_json_names_the_first_faulty_point(self):
+        with pytest.raises(ValidationError, match="got -1$"):
+            GeneratorSet.from_json([[5, -1], [1, -2]])
 
     def test_membership_is_of_points(self):
         gs = GeneratorSet.of([Point((1, 2))])
